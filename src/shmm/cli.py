@@ -30,6 +30,7 @@ from . import data_io, synth, text_embed
 from .emission import SIGMA_T_FLOOR, VAR_FLOOR, EmissionConfig
 from .hmm_core import (
     KMeansInit,
+    NonFiniteLikelihoodError,
     StopCriteria,
     baum_welch,
     load_model,
@@ -386,7 +387,7 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return cmd_synth(opts, args.experiment)
         parser.error(f"unknown command {args.command!r}")
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, NonFiniteLikelihoodError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

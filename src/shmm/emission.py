@@ -173,10 +173,15 @@ def log_emission_matrix(
     locs: np.ndarray,
     embeds: np.ndarray,
 ) -> np.ndarray:
-    """(N, K) matrix of log emission densities for stacked records."""
+    """(N, K) matrix of log emission densities for stacked records.
+
+    A density that underflows to zero (-inf, e.g. a record far from every
+    state) is returned as is: the HMM handles it like a structural zero and
+    names the trace whose likelihood it empties.  NaN or +inf raise.
+    """
     cols = [log_emission_vector(s, config, times, locs, embeds) for s in states]
     out = np.stack(cols, axis=-1)
-    if not np.all(np.isfinite(out)):
+    if not np.all(out < np.inf):  # false for NaN and +inf
         raise ValueError("non-finite emission log-density; check record fields and floors")
     return out
 
@@ -190,7 +195,7 @@ def log_emission(state: StateParams, config: EmissionConfig, record) -> float:
         record.loc[None, :],
         record.embedding[None, :],
     )[0]
-    if not math.isfinite(value):
+    if not value < math.inf:  # false for NaN and +inf; -inf is a zero density
         raise ValueError("non-finite emission log-density; check record fields and floors")
     return float(value)
 

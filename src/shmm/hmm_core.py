@@ -5,15 +5,21 @@ probabilities: emission log-densities here can span hundreds of nats),
 Baum-Welch EM over multi-sequence corpora, Viterbi decoding, and
 one-step-ahead scoring of candidate next records.
 
-The E-step is batched: traces are grouped by length and each group runs
-the recursion as one vectorized pass, with per-group statistics combined
-in a fixed deterministic order.  Identical inputs always produce
-identical results.
+There is one forward recursion, run over a packed corpus.  Traces are
+sorted by length, longest first (ties keep corpus order), and laid out
+time-major: step t holds the t-th record of every trace still running,
+and those are always the first few traces of the sorted order.  So the
+whole E-step is one vectorized pass of max-length steps, each on a
+contiguous slice, whatever the mix of trace lengths.  A single trace (as
+in `forward_backward` and the prefix forward behind `score_next`) is a
+packed corpus of one.  The packing and every summation order are fixed
+by the input, so identical inputs always produce identical results.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -21,7 +27,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .emission import (
     EmissionConfig,
@@ -43,6 +48,12 @@ DEAD_STATE_WEIGHT = 1e-8
 #: Concentration assigned to a re-seeded state's text component.
 RESEED_KAPPA = 1.0
 
+#: Relative fall in corpus log-likelihood between EM iterations beyond which
+#: `baum_welch` logs a warning (smoothing may cost less than this).
+LOGLIK_DECREASE_TOL = 1e-8
+
+logger = logging.getLogger(__name__)
+
 MODEL_FORMAT = "shmm-model"
 MODEL_FORMAT_VERSION = 1
 
@@ -52,7 +63,7 @@ class DimensionMismatchError(ValueError):
 
 
 class NonFiniteLikelihoodError(RuntimeError):
-    """Likelihood went NaN or infinite; parameters are corrupt."""
+    """A trace's likelihood is zero, NaN or infinite under the model."""
 
 
 class EmptyCorpusError(ValueError):
@@ -129,24 +140,116 @@ class EMIteration:
 
 
 # ---------------------------------------------------------------------------
-# corpus bundling and the batched forward-backward core
+# corpus bundling and the packed forward-backward core
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along one axis, shifted by the slice max.
+
+    An all -inf slice gives -inf; inf and NaN propagate.
+    """
+    shift = a.max(axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(np.exp(a - shift).sum(axis=axis))
+    return out + shift.squeeze(axis)
+
+
+@dataclass(frozen=True)
+class _Packing:
+    """Time-major layout of a corpus of traces, longest trace first.
+
+    order[j] is the corpus index of the j-th longest trace (ties keep corpus
+    order).  sizes[t] traces are still running at step t; they are always
+    the first sizes[t] in that order, so step t occupies the contiguous
+    packed slots bounds[t]:bounds[t+1].  rows[s] is the flat record row
+    (corpus order) behind packed slot s, and last[j] the packed slot of the
+    j-th longest trace's final record.
+    """
+
+    order: np.ndarray
+    sizes: list
+    bounds: list
+    rows: np.ndarray
+    last: np.ndarray
+
+
+def _pack(lengths: Sequence[int]) -> _Packing:
+    lengths = np.asarray(lengths, dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    n_steps = int(lengths.max())
+    sizes = lengths.size - np.cumsum(np.bincount(lengths, minlength=n_steps + 1))[:n_steps]
+    rows = np.concatenate([starts[:n] + t for t, n in enumerate(sizes)])
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    last = bounds[lengths[order] - 1] + np.arange(lengths.size)
+    return _Packing(order, sizes.tolist(), bounds.tolist(), rows, last)
+
+
+def _forward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray,
+             packing: _Packing) -> np.ndarray:
+    """Log forward messages over (N, K) emission log-densities in packed order."""
+    sizes, bounds = packing.sizes, packing.bounds
+    alpha = np.empty_like(log_b)
+    alpha[: sizes[0]] = log_pi + log_b[: sizes[0]]
+    for t in range(1, len(sizes)):
+        lo, hi, prev = bounds[t], bounds[t + 1], bounds[t - 1]
+        alpha[lo:hi] = (
+            _logsumexp(alpha[prev:prev + hi - lo, :, None] + log_a, axis=1) + log_b[lo:hi]
+        )
+    return alpha
+
+
+def _forward_backward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray,
+                      packing: _Packing):
+    """Forward-backward over every trace of a packed corpus at once.
+
+    log_b is the (N, K) emission matrix in corpus row order.  Returns
+    (gamma (N, K) in corpus row order, xi_sum (K, K) summed over traces and
+    slots, loglik (B,) in corpus trace order).
+    """
+    sizes, bounds = packing.sizes, packing.bounds
+    log_b = log_b[packing.rows]
+    alpha = _forward(log_pi, log_a, log_b, packing)
+    loglik = np.empty(sizes[0])
+    loglik[packing.order] = _logsumexp(alpha[packing.last], axis=1)
+    bad = np.flatnonzero(~np.isfinite(loglik))
+    if bad.size:
+        raise NonFiniteLikelihoodError(
+            f"log-likelihood of trace {int(bad[0])} is not finite ({loglik[bad[0]]})"
+        )
+
+    ll_sorted = loglik[packing.order]
+    beta = np.zeros_like(log_b)
+    xi_sum = np.zeros_like(log_a)
+    for t in range(len(sizes) - 2, -1, -1):
+        lo, nxt, n = bounds[t], bounds[t + 1], sizes[t + 1]
+        forward_msg = log_b[nxt:nxt + n] + beta[nxt:nxt + n]  # (n, K)
+        to_next = log_a + forward_msg[:, None, :]  # (n, K, K)
+        xi_log = alpha[lo:lo + n, :, None] + to_next - ll_sorted[:n, None, None]
+        xi_sum += np.exp(xi_log).sum(axis=0)
+        beta[lo:lo + n] = _logsumexp(to_next, axis=2)
+
+    slot = np.arange(len(log_b)) - np.repeat(bounds[:-1], sizes)
+    gamma = np.empty_like(log_b)
+    gamma[packing.rows] = np.exp(alpha + beta - ll_sorted[slot, None])
+    return gamma, xi_sum, loglik
 
 
 @dataclass
 class _CorpusBundle:
+    """A corpus as flat (N, ...) record arrays in corpus order, plus the
+    time-major packing the forward-backward pass walks."""
+
     times: np.ndarray
     locs: np.ndarray
     embeds: np.ndarray
-    row_groups: list  # [(length, trace_indices, (B, L) row-index array)]
-    n_records: int
-    n_traces: int
+    packing: _Packing
 
 
 def _bundle_corpus(corpus: Sequence[Trace], embedding_dim: int) -> _CorpusBundle:
     if len(corpus) == 0:
         raise EmptyCorpusError("corpus contains no traces")
-    offsets = []
-    pos = 0
     for trace in corpus:
         if len(trace) == 0:
             raise ValueError("corpus contains an empty trace")
@@ -154,53 +257,11 @@ def _bundle_corpus(corpus: Sequence[Trace], embedding_dim: int) -> _CorpusBundle
             raise DimensionMismatchError(
                 f"trace embedding dim {trace.embeddings.shape[1]} != model {embedding_dim}"
             )
-        offsets.append(pos)
-        pos += len(trace)
     times = np.concatenate([t.times for t in corpus])
     locs = np.concatenate([t.locs for t in corpus])
     embeds = np.concatenate([t.embeddings for t in corpus])
-
-    by_length: dict[int, list[int]] = {}
-    for i, trace in enumerate(corpus):
-        by_length.setdefault(len(trace), []).append(i)
-    row_groups = []
-    for length in sorted(by_length):
-        idx = np.array(by_length[length], dtype=int)
-        rows = np.array([np.arange(offsets[i], offsets[i] + length) for i in idx], dtype=int)
-        row_groups.append((length, idx, rows))
-    return _CorpusBundle(times, locs, embeds, row_groups, pos, len(corpus))
-
-
-def _fb_batch(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray):
-    """Forward-backward over a (B, R, K) block of emission log-densities.
-
-    Returns (gamma (B,R,K), xi_sum (K,K) summed over batch and slots,
-    loglik (B,)).
-    """
-    n_batch, n_steps, k = log_b.shape
-    alpha = np.empty_like(log_b)
-    alpha[:, 0] = log_pi[None, :] + log_b[:, 0]
-    for t in range(1, n_steps):
-        alpha[:, t] = logsumexp(alpha[:, t - 1][:, :, None] + log_a[None], axis=1) + log_b[:, t]
-    loglik = logsumexp(alpha[:, -1], axis=1)
-    if not np.all(np.isfinite(loglik)):
-        raise NonFiniteLikelihoodError("trace log-likelihood is not finite")
-
-    beta = np.zeros_like(log_b)
-    xi_sum = np.zeros((k, k))
-    for t in range(n_steps - 2, -1, -1):
-        forward_msg = log_b[:, t + 1] + beta[:, t + 1]  # (B, K)
-        xi_log = (
-            alpha[:, t][:, :, None]
-            + log_a[None]
-            + forward_msg[:, None, :]
-            - loglik[:, None, None]
-        )
-        xi_sum += np.exp(xi_log).sum(axis=0)
-        beta[:, t] = logsumexp(log_a[None] + forward_msg[:, None, :], axis=2)
-
-    gamma = np.exp(alpha + beta - loglik[:, None, None])
-    return gamma, xi_sum, loglik
+    packing = _pack([len(t) for t in corpus])
+    return _CorpusBundle(times, locs, embeds, packing)
 
 
 def _check_trace(model: ShmmModel, trace: Trace) -> None:
@@ -227,8 +288,7 @@ def forward_backward(model: ShmmModel, trace: Trace):
     log_b = log_emission_matrix(
         model.states, model.config, trace.times, trace.locs, trace.embeddings
     )
-    gamma, xi_sum, loglik = _fb_batch(log_pi, log_a, log_b[None])
-    gamma = gamma[0]
+    gamma, xi_sum, loglik = _forward_backward(log_pi, log_a, log_b, _pack([len(trace)]))
     weight = gamma.sum(axis=0)
     stats = SufficientStats(
         gamma=gamma,
@@ -248,18 +308,10 @@ def _e_step(model: ShmmModel, bundle: _CorpusBundle):
     log_b_all = log_emission_matrix(
         model.states, model.config, bundle.times, bundle.locs, bundle.embeds
     )
-    k = model.n_states
-    gamma_all = np.empty((bundle.n_records, k))
-    xi_sum = np.zeros((k, k))
-    gamma0 = np.zeros(k)
-    loglik = 0.0
-    for _, _, rows in bundle.row_groups:
-        gamma, xi, ll = _fb_batch(log_pi, log_a, log_b_all[rows])
-        gamma_all[rows.reshape(-1)] = gamma.reshape(-1, k)
-        xi_sum += xi
-        gamma0 += gamma[:, 0, :].sum(axis=0)
-        loglik += float(ll.sum())
-    return gamma_all, xi_sum, gamma0, loglik, log_b_all
+    gamma_all, xi_sum, loglik = _forward_backward(log_pi, log_a, log_b_all, bundle.packing)
+    first_rows = bundle.packing.rows[: bundle.packing.sizes[0]]
+    gamma0 = gamma_all[first_rows].sum(axis=0)
+    return gamma_all, xi_sum, gamma0, float(loglik.sum()), log_b_all
 
 
 def _smooth(raw: np.ndarray) -> np.ndarray:
@@ -274,7 +326,7 @@ def _reseed_state(bundle: _CorpusBundle, log_b_all: np.ndarray, config: Emission
     """Replacement parameters for a dead state, centered on the record the
     current model explains worst."""
     k = log_b_all.shape[1]
-    score = logsumexp(log_b_all, axis=1) - math.log(k)
+    score = _logsumexp(log_b_all, axis=1) - math.log(k)
     worst = int(np.argmin(score))
     text = text_mean = text_var = None
     if config.text_model == "vmf":
@@ -431,6 +483,11 @@ def baum_welch(
 
         history.append(EMIteration(loglik=loglik, seconds=time.perf_counter() - started))
         if prev_loglik is not None:
+            if loglik < prev_loglik - LOGLIK_DECREASE_TOL * abs(prev_loglik):
+                logger.warning(
+                    "EM log-likelihood fell at iteration %d: %.17g -> %.17g",
+                    len(history) - 1, prev_loglik, loglik,
+                )
             if abs(loglik - prev_loglik) < stop.rel_tol * abs(prev_loglik):
                 break
         prev_loglik = loglik
@@ -455,23 +512,13 @@ def viterbi(model: ShmmModel, trace: Trace) -> np.ndarray:
         scores = delta[:, None] + log_a
         back[t] = scores.argmax(axis=0)
         delta = scores[back[t], np.arange(k)] + log_b[t]
+    if not np.isfinite(delta.max()):
+        raise NonFiniteLikelihoodError("trace has no path of finite log-probability")
     path = np.zeros(n_steps, dtype=int)
     path[-1] = int(delta.argmax())
     for t in range(n_steps - 1, 0, -1):
         path[t - 1] = back[t, path[t]]
     return path
-
-
-def _forward_last(model: ShmmModel, trace: Trace) -> np.ndarray:
-    """Unnormalized log forward message at the final record of a trace."""
-    log_pi, log_a = _log_probs(model)
-    log_b = log_emission_matrix(
-        model.states, model.config, trace.times, trace.locs, trace.embeddings
-    )
-    alpha = log_pi + log_b[0]
-    for t in range(1, log_b.shape[0]):
-        alpha = logsumexp(alpha[:, None] + log_a, axis=0) + log_b[t]
-    return alpha
 
 
 def score_next(model: ShmmModel, prefix: Trace, candidates: Sequence, k_top: int):
@@ -489,12 +536,17 @@ def score_next(model: ShmmModel, prefix: Trace, candidates: Sequence, k_top: int
     _check_trace(model, prefix)
     if candidates[0].embedding.shape[0] != model.embedding_dim:
         raise DimensionMismatchError("candidate embedding dimension does not match model")
-    _, log_a = _log_probs(model)
-    alpha = _forward_last(model, prefix)
-    log_pred = logsumexp(alpha[:, None] + log_a, axis=0)
+    log_pi, log_a = _log_probs(model)
+    log_b = log_emission_matrix(
+        model.states, model.config, prefix.times, prefix.locs, prefix.embeddings
+    )
+    alpha = _forward(log_pi, log_a, log_b, _pack([len(prefix)]))[-1]
+    if not np.isfinite(alpha.max()):
+        raise NonFiniteLikelihoodError("prefix log-likelihood is not finite")
+    log_pred = _logsumexp(alpha[:, None] + log_a, axis=0)
     times, locs, embeds = stack_records(candidates)
     log_b = log_emission_matrix(model.states, model.config, times, locs, embeds)
-    scores = logsumexp(log_pred[None, :] + log_b, axis=1)
+    scores = _logsumexp(log_pred[None, :] + log_b, axis=1)
     order = np.argsort(-scores, kind="stable")[: int(k_top)]
     return [(int(i), float(scores[i])) for i in order]
 

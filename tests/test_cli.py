@@ -1,6 +1,7 @@
 """End-to-end tests of the CLI: preprocess -> train -> summarize -> predict."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from shmm.cli import main
 from shmm.data_io import read_corpus
 from shmm.hmm_core import forward_backward, load_model
+from shmm.records import Trace
 from shmm.synth import planted_model, sample_corpus
 from shmm import data_io
 
@@ -266,6 +268,27 @@ class TestPredict:
         assert 0.0 <= accs[1] <= accs[3] <= accs[5]
         report = json.loads((out / "predict_report.json").read_text())
         assert report["n_test_traces"] == 120
+
+    def test_impossible_prefix_fails_cleanly(self, tmp_path, capsys):
+        model_true = planted_model(3, 6, seed=3, loc_cov=np.diag([1e-5, 1e-5]))
+        corpus = sample_corpus(model_true, 20, 5, seed=4)
+        records = list(corpus[7].records)
+        records[0] = dataclasses.replace(records[0], loc=np.array([1e200, 0.0]))
+        corpus[7] = Trace(records)
+        corpus_path = tmp_path / "test.ndjson"
+        data_io.write_corpus(corpus, corpus_path)
+        model_path = tmp_path / "model.json"
+        from shmm.hmm_core import save_model
+
+        save_model(model_true, model_path)
+        with np.errstate(over="ignore"):
+            rc = main([
+                "predict", "--model", str(model_path), "--corpus", str(corpus_path),
+                "--pool-size", "5", "--k-list", "1", "--output-dir", str(tmp_path / "pred"),
+                "--dataset", "demo", "--seed", "11",
+            ])
+        assert rc == 1
+        assert "log-likelihood is not finite" in capsys.readouterr().err
 
 
 class TestSynth:
