@@ -50,8 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--output-dir", help="directory for outputs (default: .)")
         p.add_argument("--seed", type=int, help="master random seed (default: 0)")
-        p.add_argument("--threads", type=int,
-                       help="cap on worker threads (single-process pipeline; recorded)")
 
     p = sub.add_parser("preprocess", help="ingest raw NDJSON into an embedded trace corpus")
     add_common(p)
@@ -212,7 +210,6 @@ def cmd_preprocess(opts: _Options) -> int:
             "delta_t": delta_t,
             "min_len": min_len,
             "utc_offset": utc_offset,
-            "threads": opts.get("threads"),
         },
     }
     (out / "preprocess_report.json").write_text(json.dumps(report, indent=1) + "\n")
@@ -325,7 +322,6 @@ def cmd_predict(opts: _Options) -> int:
             "pool_size": pool_size,
             "k_list": k_list,
             "seed": seed,
-            "threads": opts.get("threads"),
         },
     }
     (out / "predict_report.json").write_text(json.dumps(report, indent=1) + "\n")

@@ -55,17 +55,23 @@ def to_time_of_day(t_abs: float, utc_offset_s: float) -> float:
     return (t_abs + utc_offset_s) % SECONDS_PER_DAY
 
 
-def read_raw_ndjson(path):
-    """Yield raw record dicts from an NDJSON file (gzip by extension)."""
+def _read_ndjson(path):
+    """Yield (line number, parsed document) for each non-blank NDJSON line."""
     with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                yield lineno, json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON") from exc
+
+
+def read_raw_ndjson(path):
+    """Yield raw record dicts from an NDJSON file (gzip by extension)."""
+    for _, doc in _read_ndjson(path):
+        yield doc
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +294,10 @@ def write_corpus(traces: Sequence[Trace], path) -> None:
 
 
 def read_corpus(path) -> list[Trace]:
+    """Read a corpus written by `write_corpus`; a bad line raises ValueError as path:line."""
     traces = []
-    with _open_text(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
+    for lineno, doc in _read_ndjson(path):
+        try:
             records = [
                 SemanticRecord(
                     user_id=doc["user_id"],
@@ -307,4 +310,8 @@ def read_corpus(path) -> list[Trace]:
                 for r in doc["records"]
             ]
             traces.append(Trace(records))
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return traces

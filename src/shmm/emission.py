@@ -1,4 +1,4 @@
-"""Per-state multi-modal emission model.
+"""Multi-modal emission model: densities of all states at once, and the M-step.
 
 Each latent state emits a record's three modalities independently, so the
 record log-density is the sum of the enabled per-modality log-densities:
@@ -12,6 +12,15 @@ record log-density is the sum of the enabled per-modality log-densities:
 Configuration toggles realize the baselines: location-only (HMM),
 location+time (ST-HMM), all three with Gaussian text (GHMM), and the full
 model with vMF text.
+
+`log_emission_matrix` evaluates every state in one vectorized pass: the
+per-state parameters are stacked into (K,)- and (K, p)-arrays, the time
+and location terms broadcast records (N, 1) against states (K,), and the
+vMF term is one (N, p) @ (p, K) product, log C_p(kappa) + kappa mu^T x.
+The Gaussian text term uses the expanded quadratic
+sum_j x_j^2/v_j - 2 x_j m_j/v_j + m_j^2/v_j, i.e. two such products,
+rather than the direct (x - m)^2/v, which would need an (N, K, p)
+temporary.  `log_emission` is the 1 x 1 case of the same matrix.
 """
 
 from __future__ import annotations
@@ -121,51 +130,6 @@ class StateParams:
             self.text_var = np.asarray(self.text_var, dtype=float)
 
 
-def _log_normal(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
-    z = (x - mu) / sigma
-    return -0.5 * z * z - math.log(sigma) - 0.5 * _LOG_2PI
-
-
-def _log_bivariate_normal(locs: np.ndarray, mu: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    a, b, d = cov[0, 0], cov[0, 1], cov[1, 1]
-    det = a * d - b * b
-    if det <= 0.0:
-        raise ValueError("cov_l is not positive definite")
-    dx = locs[..., 0] - mu[0]
-    dy = locs[..., 1] - mu[1]
-    quad = (d * dx * dx - 2.0 * b * dx * dy + a * dy * dy) / det
-    return -_LOG_2PI - 0.5 * math.log(det) - 0.5 * quad
-
-
-def _log_text_density(state: StateParams, config: EmissionConfig, embeds: np.ndarray) -> np.ndarray:
-    if config.text_model == "vmf":
-        params = state.text
-        log_c = vmf_log_norm_const(params.p, float(params.kappa))
-        return log_c + params.kappa * (embeds @ params.mu)
-    # diagonal Gaussians over embedding coordinates
-    mean, var = state.text_mean, state.text_var
-    z2 = (embeds - mean) ** 2 / var
-    return -0.5 * (z2 + np.log(var) + _LOG_2PI).sum(axis=-1)
-
-
-def log_emission_vector(
-    state: StateParams,
-    config: EmissionConfig,
-    times: np.ndarray,
-    locs: np.ndarray,
-    embeds: np.ndarray,
-) -> np.ndarray:
-    """Log emission density of one state over N stacked records."""
-    out = np.zeros(np.shape(times))
-    if config.use_time:
-        out = out + _log_normal(np.asarray(times, dtype=float), state.mu_t, state.sigma_t)
-    if config.use_location:
-        out = out + _log_bivariate_normal(np.asarray(locs, dtype=float), state.mu_l, state.cov_l)
-    if config.text_model != "none":
-        out = out + _log_text_density(state, config, np.asarray(embeds, dtype=float))
-    return out
-
-
 def log_emission_matrix(
     states: Sequence[StateParams],
     config: EmissionConfig,
@@ -173,31 +137,61 @@ def log_emission_matrix(
     locs: np.ndarray,
     embeds: np.ndarray,
 ) -> np.ndarray:
-    """(N, K) matrix of log emission densities for stacked records.
+    """(N, K) matrix of log emission densities of N stacked records under K states.
 
     A density that underflows to zero (-inf, e.g. a record far from every
     state) is returned as is: the HMM handles it like a structural zero and
-    names the trace whose likelihood it empties.  NaN or +inf raise.
+    names the trace whose likelihood it empties.  NaN or +inf raise, as
+    does a location covariance that is not positive definite.
     """
-    cols = [log_emission_vector(s, config, times, locs, embeds) for s in states]
-    out = np.stack(cols, axis=-1)
-    if not np.all(out < np.inf):  # false for NaN and +inf
-        raise ValueError("non-finite emission log-density; check record fields and floors")
+    times, locs, embeds = (np.asarray(x, dtype=float) for x in (times, locs, embeds))
+    out = np.zeros((times.shape[0], len(states)))
+    if config.use_time:
+        mu_t = np.array([s.mu_t for s in states])
+        sigma_t = np.array([s.sigma_t for s in states])
+        z = (times[:, None] - mu_t) / sigma_t
+        out += -0.5 * z * z - np.log(sigma_t) - 0.5 * _LOG_2PI
+    if config.use_location:
+        mu_l = np.array([s.mu_l for s in states])
+        cov_l = np.array([s.cov_l for s in states])
+        a, b, d = cov_l[:, 0, 0], cov_l[:, 0, 1], cov_l[:, 1, 1]
+        det = a * d - b * b
+        not_pd = np.flatnonzero(~((a > 0.0) & (det > 0.0)))
+        if not_pd.size:
+            raise ValueError(f"cov_l of state {not_pd[0]} is not positive definite")
+        dx = locs[:, 0:1] - mu_l[:, 0]
+        dy = locs[:, 1:2] - mu_l[:, 1]
+        quad = (d * dx * dx - 2.0 * b * dx * dy + a * dy * dy) / det
+        out += -_LOG_2PI - 0.5 * np.log(det) - 0.5 * quad
+    if config.text_model == "vmf":
+        mu = np.array([s.text.mu for s in states])
+        kappa = np.array([float(s.text.kappa) for s in states])
+        log_c = np.array([vmf_log_norm_const(s.text.p, float(s.text.kappa)) for s in states])
+        out += log_c + kappa * (embeds @ mu.T)
+    elif config.text_model == "gaussian":
+        mean = np.array([s.text_mean for s in states])
+        var = np.array([s.text_var for s in states])
+        quad = (
+            (embeds * embeds) @ (1.0 / var).T
+            - 2.0 * (embeds @ (mean / var).T)
+            + (mean * mean / var).sum(axis=1)
+        )
+        out += -0.5 * (quad + np.log(var).sum(axis=1) + embeds.shape[1] * _LOG_2PI)
+    bad = np.argwhere(~(out < np.inf))  # NaN and +inf; -inf is a zero density
+    if bad.size:
+        i, k = bad[0]
+        raise ValueError(
+            f"non-finite emission log-density for record {i} under state {k}; "
+            "check record fields and floors"
+        )
     return out
 
 
 def log_emission(state: StateParams, config: EmissionConfig, record) -> float:
     """Log emission density of a single record under one state."""
-    value = log_emission_vector(
-        state,
-        config,
-        np.asarray([record.t_day], dtype=float),
-        record.loc[None, :],
-        record.embedding[None, :],
-    )[0]
-    if not value < math.inf:  # false for NaN and +inf; -inf is a zero density
-        raise ValueError("non-finite emission log-density; check record fields and floors")
-    return float(value)
+    return float(log_emission_matrix(
+        [state], config, [record.t_day], record.loc[None, :], record.embedding[None, :]
+    )[0, 0])
 
 
 def _floor_covariance(cov: np.ndarray, floor: float) -> np.ndarray:

@@ -22,7 +22,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -97,6 +97,20 @@ class ShmmModel:
             raise ValueError("pi must sum to 1")
         if np.max(np.abs(self.trans.sum(axis=1) - 1.0)) > 1e-9:
             raise ValueError("every transition row must sum to 1")
+        p, text_model = self.embedding_dim, self.config.text_model
+        for j, s in enumerate(self.states):
+            if text_model == "vmf" and (s.text is None or s.text.p != p):
+                raise ValueError(
+                    f"state {j}: text_model 'vmf' needs vMF text parameters of dimension {p}"
+                )
+            if text_model == "gaussian" and not (
+                np.shape(s.text_mean) == (p,) and np.shape(s.text_var) == (p,)
+                and np.all(s.text_var > 0.0)
+            ):
+                raise ValueError(
+                    f"state {j}: text_model 'gaussian' needs text_mean and positive text_var "
+                    f"of shape ({p},)"
+                )
 
 
 @dataclass
@@ -104,19 +118,11 @@ class SufficientStats:
     """E-step quantities for one trace.
 
     gamma[i, z] is the posterior responsibility of state z for record i;
-    xi_sum[z, z'] the expected transition counts summed over slots.  The
-    remaining fields are responsibility-weighted moment accumulators,
-    sufficient for the Gaussian/vMF M-step.
+    xi_sum[z, z'] the expected transition counts summed over slots.
     """
 
     gamma: np.ndarray
     xi_sum: np.ndarray
-    weight: np.ndarray = None
-    time_sum: np.ndarray = None
-    time_sq_sum: np.ndarray = None
-    loc_sum: np.ndarray = None
-    loc_outer_sum: np.ndarray = None
-    emb_sum: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -289,18 +295,7 @@ def forward_backward(model: ShmmModel, trace: Trace):
         model.states, model.config, trace.times, trace.locs, trace.embeddings
     )
     gamma, xi_sum, loglik = _forward_backward(log_pi, log_a, log_b, _pack([len(trace)]))
-    weight = gamma.sum(axis=0)
-    stats = SufficientStats(
-        gamma=gamma,
-        xi_sum=xi_sum,
-        weight=weight,
-        time_sum=gamma.T @ trace.times,
-        time_sq_sum=gamma.T @ (trace.times ** 2),
-        loc_sum=gamma.T @ trace.locs,
-        loc_outer_sum=np.einsum("ik,ia,ib->kab", gamma, trace.locs, trace.locs),
-        emb_sum=gamma.T @ trace.embeddings,
-    )
-    return stats, float(loglik[0])
+    return SufficientStats(gamma=gamma, xi_sum=xi_sum), float(loglik[0])
 
 
 def _e_step(model: ShmmModel, bundle: _CorpusBundle):

@@ -169,6 +169,20 @@ class TestTrain:
         truth_ll = sum(forward_backward(model_true, t)[1] for t in corpus)
         assert final >= truth_ll - 0.01 * abs(truth_ll)
 
+    def test_bad_corpus_record_is_located(self, tmp_path, capsys):
+        corpus = sample_corpus(planted_model(2, 4, seed=5), 3, 3, seed=6)
+        corpus_path = tmp_path / "corpus.ndjson"
+        data_io.write_corpus(corpus, corpus_path)
+        lines = corpus_path.read_text().splitlines()
+        doc = json.loads(lines[2])
+        del doc["records"][0]["t_day"]
+        lines[2] = json.dumps(doc)
+        corpus_path.write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--corpus", str(corpus_path), "--k", "2",
+                   "--output-dir", str(tmp_path / "train")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {corpus_path}:3: missing field 't_day'\n"
+
     def test_preset_flag(self, tmp_path, raw_file, vectors_file):
         corpus = self._preprocess(tmp_path, raw_file, vectors_file)
         out = tmp_path / "hmm"
@@ -289,6 +303,25 @@ class TestPredict:
             ])
         assert rc == 1
         assert "log-likelihood is not finite" in capsys.readouterr().err
+
+
+    def test_malformed_model_fails_cleanly(self, tmp_path, capsys):
+        model_true = planted_model(3, 6, seed=3)
+        corpus_path = tmp_path / "test.ndjson"
+        data_io.write_corpus(sample_corpus(model_true, 10, 4, seed=4), corpus_path)
+        from shmm.hmm_core import save_model
+
+        model_path = tmp_path / "model.json"
+        save_model(model_true, model_path)
+        doc = json.loads(model_path.read_text())
+        doc["states"][1]["text"] = None
+        model_path.write_text(json.dumps(doc))
+        rc = main([
+            "predict", "--model", str(model_path), "--corpus", str(corpus_path),
+            "--output-dir", str(tmp_path / "pred"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: state 1: text_model 'vmf'")
 
 
 class TestSynth:

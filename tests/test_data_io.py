@@ -1,5 +1,8 @@
 """Tests for segmentation, splitting, candidate pools and evaluation."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -289,6 +292,32 @@ class TestTimestampsAndPersistence:
         write_corpus(traces, path)
         loaded = read_corpus(path)
         assert len(loaded[0]) == 2
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda doc: doc["records"][1].pop("t_day"), "missing field 't_day'",
+                     id="missing-field"),
+        pytest.param(lambda doc: doc["records"][0].update(embedding=[1.0, 1.0, 0.0]),
+                     "embedding must be unit norm", id="non-unit-embedding"),
+        pytest.param(lambda doc: doc["records"][0].update(lon="east"), "could not convert",
+                     id="bad-value"),
+    ])
+    def test_bad_record_is_located(self, tmp_path, edit, message):
+        path = tmp_path / "corpus.ndjson"
+        write_corpus([Trace([make_record(0.0), make_record(50.0)])] * 3, path)
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[1])
+        edit(doc)
+        lines[1] = json.dumps(doc)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: .*{message}"):
+            read_corpus(path)
+
+    def test_invalid_json_is_located(self, tmp_path):
+        path = tmp_path / "corpus.ndjson"
+        write_corpus([Trace([make_record(0.0), make_record(50.0)])] * 2, path)
+        path.write_text(path.read_text() + "\n{not json\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: invalid JSON"):
+            read_corpus(path)
 
     def test_pools_per_trace_seeds(self):
         rng = np.random.default_rng(5)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from _emission_reference import reference_log_emission_matrix
 from shmm.emission import (
     EmissionConfig,
     EmptyStateError,
@@ -45,9 +46,47 @@ def make_state(p=3, kappa=2.0, seed=0):
 
 
 def weighted_loglik(state, config, times, locs, embeds, gamma):
-    from shmm.emission import log_emission_vector
+    return float(gamma @ log_emission_matrix([state], config, times, locs, embeds)[:, 0])
 
-    return float(gamma @ log_emission_vector(state, config, times, locs, embeds))
+
+PRESETS = ["shmm", "ghmm", "st-hmm", "hmm"]
+
+
+def random_states(k, p, rng):
+    states = []
+    for _ in range(k):
+        root = rng.standard_normal((2, 2))
+        mu = unit(rng.standard_normal(p))
+        states.append(StateParams(
+            mu_t=float(rng.uniform(0, 86400)),
+            sigma_t=float(rng.uniform(60, 7200)),
+            mu_l=rng.standard_normal(2),
+            cov_l=root @ root.T + 0.01 * np.eye(2),
+            text=VmfParams(mu=mu, kappa=float(rng.uniform(0, 200)), p=p),
+            text_mean=rng.standard_normal(p) * 0.3,
+            text_var=rng.uniform(0.01, 2.0, size=p),
+        ))
+    return states
+
+
+def random_records(n, p, rng):
+    times = rng.uniform(0, 86400, size=n)
+    locs = rng.standard_normal((n, 2)) * 2.0
+    embeds = rng.standard_normal((n, p))
+    embeds /= np.linalg.norm(embeds, axis=1, keepdims=True)
+    return times, locs, embeds
+
+
+def assert_matches_reference(states, config, times, locs, embeds):
+    got = log_emission_matrix(states, config, times, locs, embeds)
+    ref = reference_log_emission_matrix(states, config, times, locs, embeds)
+    assert got.shape == ref.shape == (len(times), len(states))
+    np.testing.assert_array_equal(np.isneginf(got), np.isneginf(ref))
+    finite = np.isfinite(ref)
+    rel = 1e-10 if config.text_model == "gaussian" else 1e-12
+    err = np.abs(got[finite] - ref[finite]) / np.maximum(1.0, np.abs(ref[finite]))
+    assert err.max(initial=0.0) <= rel
+    return got
 
 
 class TestLogEmission:
@@ -130,6 +169,76 @@ class TestLogEmission:
                 p=5,
             )
             assert math.isfinite(log_emission(state, config, rec))
+
+
+class TestAllStatesMatrix:
+    """The vectorized (N, K) pass against the former per-state helpers."""
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_matches_reference(self, preset):
+        rng = np.random.default_rng(20)
+        states = random_states(7, 5, rng)
+        assert_matches_reference(states, EmissionConfig.preset(preset), *random_records(60, 5, rng))
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_single_state_single_record(self, preset):
+        rng = np.random.default_rng(21)
+        states = random_states(1, 4, rng)
+        got = assert_matches_reference(
+            states, EmissionConfig.preset(preset), *random_records(1, 4, rng)
+        )
+        assert got.shape == (1, 1)
+
+    def test_uniform_vmf_state(self):
+        rng = np.random.default_rng(22)
+        states = random_states(3, 6, rng)
+        states[1].text = VmfParams(mu=states[1].text.mu, kappa=0.0, p=6)
+        times, locs, embeds = random_records(9, 6, rng)
+        got = assert_matches_reference(states, EmissionConfig.shmm(), times, locs, embeds)
+        text_only = EmissionConfig(use_time=False, use_location=False, text_model="vmf")
+        uniform = log_emission_matrix(states, text_only, times, locs, embeds)[:, 1]
+        np.testing.assert_array_equal(uniform, uniform[0])
+        assert np.all(np.isfinite(got))
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_far_record_gives_minus_inf_in_the_same_cells(self, preset):
+        rng = np.random.default_rng(23)
+        states = random_states(4, 3, rng)
+        times, locs, embeds = random_records(5, 3, rng)
+        locs[2] = (1e200, 0.0)
+        with np.errstate(over="ignore"):
+            got = assert_matches_reference(
+                states, EmissionConfig.preset(preset), times, locs, embeds
+            )
+        assert np.all(np.isneginf(got[2]))
+        assert np.all(np.isfinite(np.delete(got, 2, axis=0)))
+
+    def test_gaussian_text_at_the_variance_floor(self):
+        rng = np.random.default_rng(24)
+        states = random_states(3, 8, rng)
+        times, locs, embeds = random_records(6, 8, rng)
+        for state in states:
+            state.text_var = np.full(8, EmissionConfig.ghmm().var_floor)
+        states[0].text_mean = embeds[4].copy()
+        got = assert_matches_reference(states, EmissionConfig.ghmm(), times, locs, embeds)
+        assert got[4, 0] == got[:, 0].max()
+
+    def test_non_positive_definite_covariance_names_the_state(self):
+        rng = np.random.default_rng(25)
+        states = random_states(4, 3, rng)
+        states[2].cov_l = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(ValueError, match="state 2 is not positive definite"):
+            log_emission_matrix(states, EmissionConfig.shmm(), *random_records(3, 3, rng))
+        with pytest.raises(ValueError, match="state 0 is not positive definite"):
+            log_emission(states[2], EmissionConfig.hmm(), make_record())
+
+    def test_nan_time_raises(self):
+        rng = np.random.default_rng(26)
+        states = random_states(3, 3, rng)
+        times, locs, embeds = random_records(4, 3, rng)
+        times[1] = np.nan
+        with pytest.raises(ValueError, match="non-finite emission log-density for record 1"):
+            log_emission_matrix(states, EmissionConfig.st_hmm(), times, locs, embeds)
 
 
 class TestEmissionConfig:

@@ -120,7 +120,6 @@ class TestForwardBackward:
             np.testing.assert_allclose(stats.gamma.sum(axis=1), 1.0, atol=1e-9)
             assert stats.xi_sum.sum() == pytest.approx(r - 1, abs=1e-9)
             assert np.all(stats.xi_sum >= 0.0)
-            np.testing.assert_allclose(stats.weight, stats.gamma.sum(axis=0), atol=1e-12)
 
     def test_relabeling_leaves_likelihood_unchanged(self):
         rng = np.random.default_rng(4)
@@ -365,3 +364,38 @@ class TestSerialization:
         loaded = model_from_dict(doc)
         np.testing.assert_array_equal(loaded.states[0].text_mean, state.text_mean)
         assert loaded.states[0].text is None
+
+    def test_vmf_state_without_text_is_rejected(self):
+        doc = model_to_dict(random_model(3, 5, np.random.default_rng(15)))
+        doc["states"][1]["text"] = None
+        with pytest.raises(ValueError, match="state 1: text_model 'vmf'"):
+            model_from_dict(doc)
+
+    def test_vmf_text_of_the_wrong_dimension_is_rejected(self):
+        model = random_model(2, 5, np.random.default_rng(16))
+        with pytest.raises(ValueError, match="state 0: .* dimension 6"):
+            ShmmModel(
+                n_states=2, pi=model.pi, trans=model.trans, states=model.states,
+                config=model.config, embedding_dim=6,
+            )
+
+    @pytest.mark.parametrize("field, value", [
+        ("text_var", None),
+        ("text_mean", None),
+        ("text_mean", [0.1, 0.2]),
+        ("text_var", [0.5, 0.0, 0.5]),
+    ])
+    def test_ghmm_state_without_gaussian_text_is_rejected(self, field, value):
+        state = {"mu_t": 100.0, "sigma_t": 60.0, "mu_l": [0.0, 0.0],
+                 "cov_l": [[1.0, 0.0], [0.0, 1.0]], "text": None,
+                 "text_mean": [0.1, 0.2, 0.3], "text_var": [0.5, 0.5, 0.5]}
+        broken = dict(state, **{field: value})
+        doc = {
+            "format": "shmm-model", "format_version": 1, "n_states": 2, "embedding_dim": 3,
+            "config": {"use_time": True, "use_location": True, "text_model": "gaussian",
+                       "sigma_t_floor": 60.0, "var_floor": 1e-6},
+            "pi": [0.5, 0.5], "trans": [[0.5, 0.5], [0.5, 0.5]],
+            "states": [state, broken],
+        }
+        with pytest.raises(ValueError, match="state 1: text_model 'gaussian'"):
+            model_from_dict(doc)
