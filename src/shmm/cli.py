@@ -3,8 +3,9 @@
 Every command is a pure function of its inputs, configuration and seeds:
 identical invocations produce byte-identical outputs except for
 wall-clock timing fields.  Options may come from a JSON config file
-(--config, keys named like the long flags with underscores); explicit
-flags win over the file.
+(--config, keys named like the long flags with underscores; a key that
+is not an option of the subcommand is an error); explicit flags win over
+the file.
 
 Outputs land in --output-dir as CSV/JSON:
 
@@ -87,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="synthetic convergence / estimation experiments")
     add_common(p)
-    p.add_argument("experiment", choices=sorted(synth.EXPERIMENTS),
+    p.add_argument("experiment", choices=sorted(["newton_convergence", *synth.ESTIMATION_GRIDS]),
                    help="which experiment to run")
     p.add_argument("--p", type=int, help="embedding dimension (100)")
     p.add_argument("--kappa", type=float, help="true concentration (100)")
@@ -97,12 +98,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path) -> dict:
-    if not path:
+def _load_config(args: argparse.Namespace) -> dict:
+    if not args.config:
         return {}
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(args.config).read_text())
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
+    # The namespace holds a dest for every option of the chosen subcommand.
+    options = set(vars(args)) - {"config", "command", "experiment"}
+    for key in doc:
+        if key not in options:
+            raise ValueError(f"config key {key!r} is not an option of {args.command!r}")
     return doc
 
 
@@ -153,17 +159,7 @@ def cmd_preprocess(opts: _Options) -> int:
     utc_offset = float(opts.get("utc_offset", 0.0))
     out = _out_dir(opts)
 
-    raw = []
-    for doc in data_io.read_raw_ndjson(input_path):
-        raw.append(
-            (
-                str(doc["user_id"]),
-                data_io.parse_timestamp(doc["timestamp"]),
-                float(doc["lon"]),
-                float(doc["lat"]),
-                str(doc.get("text", "")),
-            )
-        )
+    raw = list(data_io.read_raw_records(input_path))
     messages = [text_embed.tokenize(text) for *_, text in raw]
     if messages:
         table = table.with_idf(text_embed.compute_idf(messages, table.vocabulary))
@@ -329,37 +325,27 @@ def cmd_predict(opts: _Options) -> int:
     return 0
 
 
-def cmd_synth(opts: _Options, experiment: str) -> int:
-    import inspect
-
-    fn = synth.EXPERIMENTS[experiment]
-    accepted = set(inspect.signature(fn).parameters)
+def cmd_synth(opts: _Options) -> int:
+    experiment = opts.get("experiment")
+    estimation = experiment in synth.ESTIMATION_GRIDS
+    ignored = synth.ESTIMATION_GRIDS[experiment][0] if estimation else "n_seeds"
     kwargs = {}
     for key, cast in (("p", int), ("kappa", float), ("n", int), ("n_seeds", int), ("seed", int)):
         value = opts.get(key)
-        if value is None:
-            continue
-        if key not in accepted:
+        if value is not None and key == ignored:
             print(f"note: --{key.replace('_', '-')} does not apply to {experiment}; ignored",
                   file=sys.stderr)
-            continue
-        kwargs[key] = cast(value)
+        elif value is not None:
+            kwargs[key] = cast(value)
     grid = opts.get("grid")
-    if grid is not None:
-        values = [float(x) for x in str(grid).split(",")]
-        grid_arg = {
-            "newton_convergence": None,
-            "estimation_vs_n": "n_grid",
-            "estimation_vs_kappa": "kappa_grid",
-            "estimation_vs_p": "p_grid",
-        }[experiment]
-        if grid_arg is None:
-            raise ValueError("newton_convergence takes no --grid")
-        if grid_arg in ("n_grid", "p_grid"):
-            values = [int(x) for x in values]
-        kwargs[grid_arg] = values
-
-    rows = fn(**kwargs)
+    if estimation:
+        if grid is not None:
+            kwargs["grid"] = [float(x) for x in str(grid).split(",")]
+        rows = synth.estimation_error(experiment, **kwargs)
+    elif grid is not None:
+        raise ValueError("newton_convergence takes no --grid")
+    else:
+        rows = synth.newton_convergence(**kwargs)
     out = _out_dir(opts)
     path = out / f"{experiment}.csv"
     _write_csv(path, ["x", "metric", "value"], [(x, m, f"{v!r}") for x, m, v in rows])
@@ -371,22 +357,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = _Options(args, _load_config(args.config))
-        if args.command == "preprocess":
-            return cmd_preprocess(opts)
-        if args.command == "train":
-            return cmd_train(opts)
-        if args.command == "summarize":
-            return cmd_summarize(opts)
-        if args.command == "predict":
-            return cmd_predict(opts)
-        if args.command == "synth":
-            return cmd_synth(opts, args.experiment)
-        parser.error(f"unknown command {args.command!r}")
+        command = {"preprocess": cmd_preprocess, "train": cmd_train, "summarize": cmd_summarize,
+                   "predict": cmd_predict, "synth": cmd_synth}[args.command]
+        return command(_Options(args, _load_config(args)))
     except (OSError, ValueError, KeyError, NonFiniteLikelihoodError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

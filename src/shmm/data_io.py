@@ -55,23 +55,37 @@ def to_time_of_day(t_abs: float, utc_offset_s: float) -> float:
     return (t_abs + utc_offset_s) % SECONDS_PER_DAY
 
 
-def _read_ndjson(path):
-    """Yield (line number, parsed document) for each non-blank NDJSON line."""
+def _read_ndjson(path, parse):
+    """Yield parse(doc) per non-blank NDJSON line; a bad line raises ValueError as path:line."""
     with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
+                value = parse(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON") from exc
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            yield value
 
 
-def read_raw_ndjson(path):
-    """Yield raw record dicts from an NDJSON file (gzip by extension)."""
-    for _, doc in _read_ndjson(path):
-        yield doc
+def _raw_record(doc):
+    return (
+        str(doc["user_id"]),
+        parse_timestamp(doc["timestamp"]),
+        float(doc["lon"]),
+        float(doc["lat"]),
+        str(doc.get("text", "")),
+    )
+
+
+def read_raw_records(path):
+    """Yield (user_id, t_abs, lon, lat, text) per raw NDJSON record (gzip by extension)."""
+    return _read_ndjson(path, _raw_record)
 
 
 # ---------------------------------------------------------------------------
@@ -293,25 +307,20 @@ def write_corpus(traces: Sequence[Trace], path) -> None:
             fh.write(json.dumps(doc) + "\n")
 
 
+def _trace_from_doc(doc) -> Trace:
+    return Trace([
+        SemanticRecord(
+            user_id=doc["user_id"],
+            t_abs=float(r["t_abs"]),
+            t_day=float(r["t_day"]),
+            loc=np.array([r["lon"], r["lat"]], dtype=float),
+            embedding=np.array(r["embedding"], dtype=float),
+            raw_text=r.get("text"),
+        )
+        for r in doc["records"]
+    ])
+
+
 def read_corpus(path) -> list[Trace]:
     """Read a corpus written by `write_corpus`; a bad line raises ValueError as path:line."""
-    traces = []
-    for lineno, doc in _read_ndjson(path):
-        try:
-            records = [
-                SemanticRecord(
-                    user_id=doc["user_id"],
-                    t_abs=float(r["t_abs"]),
-                    t_day=float(r["t_day"]),
-                    loc=np.array([r["lon"], r["lat"]], dtype=float),
-                    embedding=np.array(r["embedding"], dtype=float),
-                    raw_text=r.get("text"),
-                )
-                for r in doc["records"]
-            ]
-            traces.append(Trace(records))
-        except KeyError as exc:
-            raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return traces
+    return list(_read_ndjson(path, _trace_from_doc))

@@ -257,12 +257,7 @@ def _bundle_corpus(corpus: Sequence[Trace], embedding_dim: int) -> _CorpusBundle
     if len(corpus) == 0:
         raise EmptyCorpusError("corpus contains no traces")
     for trace in corpus:
-        if len(trace) == 0:
-            raise ValueError("corpus contains an empty trace")
-        if trace.embeddings.shape[1] != embedding_dim:
-            raise DimensionMismatchError(
-                f"trace embedding dim {trace.embeddings.shape[1]} != model {embedding_dim}"
-            )
+        _check_trace(trace, embedding_dim)
     times = np.concatenate([t.times for t in corpus])
     locs = np.concatenate([t.locs for t in corpus])
     embeds = np.concatenate([t.embeddings for t in corpus])
@@ -270,12 +265,12 @@ def _bundle_corpus(corpus: Sequence[Trace], embedding_dim: int) -> _CorpusBundle
     return _CorpusBundle(times, locs, embeds, packing)
 
 
-def _check_trace(model: ShmmModel, trace: Trace) -> None:
+def _check_trace(trace: Trace, embedding_dim: int) -> None:
     if len(trace) == 0:
         raise ValueError("trace is empty")
-    if trace.embeddings.shape[1] != model.embedding_dim:
+    if trace.embeddings.shape[1] != embedding_dim:
         raise DimensionMismatchError(
-            f"trace embedding dim {trace.embeddings.shape[1]} != model {model.embedding_dim}"
+            f"trace embedding dim {trace.embeddings.shape[1]} != model {embedding_dim}"
         )
 
 
@@ -289,7 +284,7 @@ def forward_backward(model: ShmmModel, trace: Trace):
 
     Returns (SufficientStats, loglik) with loglik = log p(trace | model).
     """
-    _check_trace(model, trace)
+    _check_trace(trace, model.embedding_dim)
     log_pi, log_a = _log_probs(model)
     log_b = log_emission_matrix(
         model.states, model.config, trace.times, trace.locs, trace.embeddings
@@ -495,7 +490,7 @@ def baum_welch(
 
 def viterbi(model: ShmmModel, trace: Trace) -> np.ndarray:
     """Most likely state path (argmax joint probability; ties -> lowest index)."""
-    _check_trace(model, trace)
+    _check_trace(trace, model.embedding_dim)
     log_pi, log_a = _log_probs(model)
     log_b = log_emission_matrix(
         model.states, model.config, trace.times, trace.locs, trace.embeddings
@@ -528,7 +523,7 @@ def score_next(model: ShmmModel, prefix: Trace, candidates: Sequence, k_top: int
         raise ValueError("prefix must contain at least one record")
     if len(candidates) == 0:
         raise ValueError("candidates must be non-empty")
-    _check_trace(model, prefix)
+    _check_trace(prefix, model.embedding_dim)
     if candidates[0].embedding.shape[0] != model.embedding_dim:
         raise DimensionMismatchError("candidate embedding dimension does not match model")
     log_pi, log_a = _log_probs(model)

@@ -195,5 +195,9 @@ def bessel_ratio_a_prime(p: int, kappa: float, a_value: float) -> float:
     if int(p) != p or p < 2:
         raise ValueError(f"dimension p must be an integer >= 2, got {p!r}")
     kappa = _check_kappa(kappa)
-    a_value = float(a_value)
-    return 1.0 - a_value * a_value - (p - 1) / kappa * a_value
+    return _a_prime(p, kappa, float(a_value))
+
+
+def _a_prime(p, kappa, a):
+    """A_p'(kappa) from a = A_p(kappa), unchecked and in generic arithmetic (floats or mpmath)."""
+    return 1.0 - a * a - (p - 1) / kappa * a

@@ -1,15 +1,15 @@
 """Synthetic data generation and the convergence/estimation experiments.
 
 Provides the planted-model corpus generator used by the recovery tests
-plus the four experiment drivers behind the `synth` CLI subcommand:
+plus the two experiment drivers behind the `synth` CLI subcommand:
 
 * newton_convergence: per-iteration residual |A_p(kappa_n) - r_bar| of the
   concentration solve on one sampled dataset;
-* estimation_vs_n / estimation_vs_kappa / estimation_vs_p: relative
-  estimation error of kappa (and the cosine error of the mean direction)
-  over grids of sample size, concentration, and dimension.
+* estimation_error: relative error of kappa (and cosine error of the mean
+  direction) over the sample-size, concentration or dimension grid of the
+  estimation_vs_n / _kappa / _p experiments (`ESTIMATION_GRIDS`).
 
-Every driver returns plot-ready (x, metric, value) rows; the CLI writes
+Both drivers return plot-ready (x, metric, value) rows; the CLI writes
 them as CSV.
 """
 
@@ -178,75 +178,31 @@ def _fit_errors(p: int, kappa: float, n: int, seed: int):
     return kappa_err, mu_err
 
 
-def estimation_vs_n(
-    p: int = 100,
-    kappa: float = 100.0,
-    n_grid: Sequence[int] = (100, 1_000, 10_000, 100_000),
-    n_seeds: int = 20,
-    seed: int = 0,
-):
-    """Estimation error vs sample size; per-seed rows plus per-x means."""
-    rows = []
-    for n in n_grid:
-        k_errs, m_errs = [], []
-        for s in range(n_seeds):
-            k_err, m_err = _fit_errors(p, kappa, int(n), seed + 1000 * s + int(n))
-            rows.append((int(n), "kappa_rel_error", k_err))
-            rows.append((int(n), "mu_cos_error", m_err))
-            k_errs.append(k_err)
-            m_errs.append(m_err)
-        rows.append((int(n), "kappa_rel_error_mean", float(np.mean(k_errs))))
-        rows.append((int(n), "mu_cos_error_mean", float(np.mean(m_errs))))
-    return rows
-
-
-def estimation_vs_kappa(
-    p: int = 100,
-    kappa_grid: Sequence[float] = (1.0, 5.0, 10.0, 50.0, 100.0, 500.0),
-    n: int = 100_000,
-    n_seeds: int = 3,
-    seed: int = 0,
-):
-    """Estimation error vs true concentration at fixed p and N."""
-    rows = []
-    for kappa in kappa_grid:
-        k_errs, m_errs = [], []
-        for s in range(n_seeds):
-            k_err, m_err = _fit_errors(p, float(kappa), n, seed + 1000 * s + int(kappa))
-            rows.append((float(kappa), "kappa_rel_error", k_err))
-            rows.append((float(kappa), "mu_cos_error", m_err))
-            k_errs.append(k_err)
-            m_errs.append(m_err)
-        rows.append((float(kappa), "kappa_rel_error_mean", float(np.mean(k_errs))))
-        rows.append((float(kappa), "mu_cos_error_mean", float(np.mean(m_errs))))
-    return rows
-
-
-def estimation_vs_p(
-    p_grid: Sequence[int] = (2, 10, 50, 100, 200),
-    kappa: float = 100.0,
-    n: int = 100_000,
-    n_seeds: int = 3,
-    seed: int = 0,
-):
-    """Estimation error vs dimension at fixed kappa and N."""
-    rows = []
-    for p in p_grid:
-        k_errs, m_errs = [], []
-        for s in range(n_seeds):
-            k_err, m_err = _fit_errors(int(p), kappa, n, seed + 1000 * s + int(p))
-            rows.append((int(p), "kappa_rel_error", k_err))
-            rows.append((int(p), "mu_cos_error", m_err))
-            k_errs.append(k_err)
-            m_errs.append(m_err)
-        rows.append((int(p), "kappa_rel_error_mean", float(np.mean(k_errs))))
-        rows.append((int(p), "mu_cos_error_mean", float(np.mean(m_errs))))
-    return rows
-
-
-EXPERIMENTS = {
-    "newton_convergence": newton_convergence,
-    "estimation_vs_n": estimation_vs_n,
-    "estimation_vs_kappa": estimation_vs_kappa,
-    "estimation_vs_p": estimation_vs_p,
+ESTIMATION_GRIDS = {
+    # experiment: (swept parameter, default grid, default seeds per grid point)
+    "estimation_vs_n": ("n", (100, 1_000, 10_000, 100_000), 20),
+    "estimation_vs_kappa": ("kappa", (1.0, 5.0, 10.0, 50.0, 100.0, 500.0), 3),
+    "estimation_vs_p": ("p", (2, 10, 50, 100, 200), 3),
 }
+
+
+def estimation_error(experiment: str, grid: Sequence[float] | None = None, p: int = 100,
+                     kappa: float = 100.0, n: int = 100_000, n_seeds: int | None = None,
+                     seed: int = 0):
+    """Estimation error vs the parameter an `ESTIMATION_GRIDS` experiment sweeps.
+
+    The swept parameter (int for n and p, float for kappa) replaces its own
+    argument; per-seed rows, seeded seed + 1000*s + int(x), precede the means.
+    """
+    axis, default_grid, default_seeds = ESTIMATION_GRIDS[experiment]
+    params = {"p": p, "kappa": kappa, "n": n}
+    rows = []
+    for value in default_grid if grid is None else grid:
+        x = params[axis] = float(value) if axis == "kappa" else int(value)
+        errs = [_fit_errors(**params, seed=seed + 1000 * s + int(x))
+                for s in range(default_seeds if n_seeds is None else n_seeds)]
+        for k_err, m_err in errs:
+            rows += [(x, "kappa_rel_error", k_err), (x, "mu_cos_error", m_err)]
+        rows.append((x, "kappa_rel_error_mean", float(np.mean([k for k, _ in errs]))))
+        rows.append((x, "mu_cos_error_mean", float(np.mean([m for _, m in errs]))))
+    return rows

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .special_fns import bessel_ratio_a, log_bessel_i
+from .special_fns import _a_prime, bessel_ratio_a, log_bessel_i
 
 logger = logging.getLogger(__name__)
 
@@ -198,7 +198,7 @@ def solve_concentration(
             # kappa ~ tol/A_p' short of the root where A_p is flat (large
             # p and kappa); a final first-order step closes that gap down
             # to evaluation noise.
-            a_prime = 1.0 - a * a - (p - 1) / kappa * a
+            a_prime = _a_prime(p, kappa, a)
             kappa_polish = kappa - (a - r_bar) / a_prime
             if kappa_polish > 0.0 and math.isfinite(float(kappa_polish)) \
                     and kappa_polish != kappa:
@@ -206,7 +206,7 @@ def solve_concentration(
                 trace.kappas.append(kappa_polish)
                 trace.residuals.append(abs(a_polish - r_bar))
             return trace
-        a_prime = 1.0 - a * a - (p - 1) / kappa * a
+        a_prime = _a_prime(p, kappa, a)
         kappa_next = kappa - (a - r_bar) / a_prime
         if kappa_next <= 0.0:
             return _bisection_newton(r_bar, p, kappa, tol, max_iter, ratio_fn, trace)
@@ -253,7 +253,7 @@ def _bisection_newton(r_bar, p, kappa_start, tol, max_iter, ratio_fn, trace):
             lo = kappa
         else:
             hi = kappa
-        a_prime = 1.0 - a * a - (p - 1) / kappa * a
+        a_prime = _a_prime(p, kappa, a)
         kappa_next = kappa - (a - r_bar) / a_prime
         if not lo < kappa_next < hi:
             kappa_next = 0.5 * (lo + hi)

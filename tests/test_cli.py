@@ -119,6 +119,23 @@ class TestPreprocess:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"user_id": "u", "lon": 0.0, "lat": 0.0, "text": "coffee"},
+         "missing field 'timestamp'"),
+        ({"user_id": "u", "timestamp": 60, "lon": "x", "lat": 0.0, "text": "coffee"},
+         "could not convert string to float: 'x'"),
+    ])
+    def test_bad_raw_record_is_located(self, tmp_path, vectors_file, capsys, bad, message):
+        raw = tmp_path / "raw.ndjson"
+        good = {"user_id": "u", "timestamp": 0, "lon": 0.0, "lat": 0.0, "text": "coffee"}
+        raw.write_text(json.dumps(good) + "\n\n" + json.dumps(bad) + "\n")
+        rc = main([
+            "preprocess", "--input", str(raw), "--embeddings", str(vectors_file),
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {raw}:3: {message}\n"
+
 
 class TestTrain:
     def _preprocess(self, tmp_path, raw_file, vectors_file):
@@ -364,3 +381,50 @@ class TestSynth:
         assert rc == 0
         rows = read_csv(out / "newton_convergence.csv")
         assert float(rows[-1][2]) < 1e-12
+
+    @pytest.mark.parametrize("experiment, flag", [
+        ("estimation_vs_n", "--n"),
+        ("estimation_vs_kappa", "--kappa"),
+        ("estimation_vs_p", "--p"),
+        ("newton_convergence", "--n-seeds"),
+    ])
+    def test_inapplicable_flag_is_noted(self, tmp_path, capsys, experiment, flag):
+        grid = [] if experiment == "newton_convergence" else ["--grid", "4,9"]
+        out = tmp_path / "synth"
+        rc = main([
+            "synth", experiment, "--p", "5", "--kappa", "20", "--n", "300", "--n-seeds", "1",
+            *grid, "--output-dir", str(out),
+        ])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            f"note: {flag} does not apply to {experiment}; ignored\n"
+        )
+        assert (out / f"{experiment}.csv").exists()
+
+    def test_grid_on_newton_convergence_fails(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        rc = main([
+            "synth", "newton_convergence", "--grid", "1,2", "--output-dir", str(out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: newton_convergence takes no --grid\n"
+        assert not (out / "newton_convergence.csv").exists()
+
+
+class TestConfig:
+    @pytest.mark.parametrize("command, key", [
+        (["synth", "newton_convergence"], "max_itr"),
+        (["train", "--corpus", "corpus.ndjson", "--k", "2"], "max_iter"),
+        (["synth", "estimation_vs_p"], "experiment"),
+        (["predict"], "k"),
+    ])
+    def test_unknown_key_fails(self, tmp_path, capsys, command, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 1, key: 1}))
+        out = tmp_path / "out"
+        rc = main(["--config", str(config), *command, "--output-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: config key {key!r} is not an option of {command[0]!r}\n"
+        )
+        assert not out.exists()

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+import _synth_reference as reference
 from shmm.synth import (
-    estimation_vs_kappa,
-    estimation_vs_n,
-    estimation_vs_p,
+    ESTIMATION_GRIDS,
+    estimation_error,
     newton_convergence,
     orthonormal_directions,
     planted_model,
@@ -56,19 +56,62 @@ class TestExperiments:
         assert len(rows) <= 8
 
     def test_estimation_vs_n_mean_rows(self):
-        rows = estimation_vs_n(p=10, kappa=20.0, n_grid=(100, 1000), n_seeds=3, seed=0)
+        rows = estimation_error(
+            "estimation_vs_n", grid=(100, 1000), p=10, kappa=20.0, n_seeds=3, seed=0
+        )
         means = [(x, v) for x, m, v in rows if m == "kappa_rel_error_mean"]
         assert len(means) == 2
         per_seed = [(x, v) for x, m, v in rows if m == "kappa_rel_error"]
         assert len(per_seed) == 6
 
     def test_estimation_vs_kappa_small_errors(self):
-        rows = estimation_vs_kappa(p=20, kappa_grid=(10.0, 100.0), n=20_000, n_seeds=2, seed=1)
+        rows = estimation_error(
+            "estimation_vs_kappa", grid=(10.0, 100.0), p=20, n=20_000, n_seeds=2, seed=1
+        )
         errs = [v for _, m, v in rows if m == "kappa_rel_error"]
         assert all(e < 0.05 for e in errs)
 
     def test_estimation_vs_p_runs(self):
-        rows = estimation_vs_p(p_grid=(2, 10), kappa=20.0, n=10_000, n_seeds=2, seed=2)
+        rows = estimation_error(
+            "estimation_vs_p", grid=(2, 10), kappa=20.0, n=10_000, n_seeds=2, seed=2
+        )
         assert {m for _, m, _ in rows} == {
             "kappa_rel_error", "mu_cos_error", "kappa_rel_error_mean", "mu_cos_error_mean",
         }
+
+    def test_unknown_experiment_raises(self):
+        with pytest.raises(KeyError):
+            estimation_error("newton_convergence")
+
+
+# Small fixed parameters keep every grid point cheap; the swept one is
+# overridden by the grid.  Each reference driver names its grid argument
+# after its axis.
+SMALL = {"p": 3, "kappa": 20.0, "n": 300}
+
+
+def assert_rows_match_reference(experiment, grid, n_seeds, seed):
+    axis = ESTIMATION_GRIDS[experiment][0]
+    fixed = {k: v for k, v in SMALL.items() if k != axis}
+    ref_kwargs = dict(fixed, seed=seed)
+    if grid is not None:
+        ref_kwargs[f"{axis}_grid"] = grid
+    if n_seeds is not None:
+        ref_kwargs["n_seeds"] = n_seeds
+    expected = getattr(reference, experiment)(**ref_kwargs)
+    got = estimation_error(experiment, grid=grid, n_seeds=n_seeds, seed=seed, **fixed)
+    assert got == expected
+    assert [type(x) for x, _, _ in got] == [type(x) for x, _, _ in expected]
+
+
+@pytest.mark.parametrize("experiment", sorted(ESTIMATION_GRIDS))
+class TestEstimationMatchesReference:
+    def test_default_grid_and_seeds(self, experiment):
+        assert_rows_match_reference(experiment, None, None, seed=0)
+
+    def test_user_grid(self, experiment):
+        # Float strings as the CLI parses them, cast back per axis.
+        assert_rows_match_reference(experiment, [4.0, 7.5, 40.0], 2, seed=5)
+
+    def test_one_seed(self, experiment):
+        assert_rows_match_reference(experiment, None, 1, seed=11)
