@@ -8,7 +8,12 @@ NDJSON too, one trace per line with embeddings attached.
 Candidate pools follow the next-location evaluation protocol: the true
 final record of a test trace is mixed with negatives sampled among
 records that are close to it both spatially (great-circle distance) and
-in time of day (circular difference).
+in time of day (circular difference).  `RecordIndex` keeps its records'
+time-of-day order, sorted once when the index is built, so a pool query
+binary-searches the circular window [t - time_thresh, t + time_thresh]
+(wrapping at midnight, padded outward by a microsecond) and runs the
+exact distance and time predicates on that window only, in index order;
+the pools are the same as a scan of the whole index would give.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import gzip
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -31,6 +36,11 @@ EARTH_RADIUS_M = 6_371_000.0
 DEFAULT_DELTA_T = 6 * 3600.0
 DEFAULT_MIN_TRACE_LEN = 2
 DEFAULT_POOL_SIZE = 10
+
+#: Seconds added to each side of a pool's time-of-day window.  Rounding in
+#: `circular_tday_diff` is below 1e-10 s for times of day in [0, 86400), so
+#: the padded window always holds every record the exact predicate accepts.
+_WINDOW_PAD_S = 1e-6
 
 
 def _open_text(path, mode="rt"):
@@ -168,11 +178,25 @@ def circular_tday_diff(a, b) -> np.ndarray:
 
 @dataclass
 class RecordIndex:
-    """Flat record pool with stacked arrays for threshold queries."""
+    """Flat record pool with stacked arrays for threshold queries.
+
+    locs and t_days are a snapshot of the records' values; t_days must
+    lie in [0, 86400).  tday_order, the stable argsort of t_days, and
+    sorted_t_days are derived once, at construction.
+    """
 
     records: list
     locs: np.ndarray
     t_days: np.ndarray
+    tday_order: np.ndarray = field(init=False, repr=False)
+    sorted_t_days: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.t_days = np.asarray(self.t_days, dtype=float)
+        if not np.all((self.t_days >= 0.0) & (self.t_days < SECONDS_PER_DAY)):
+            raise ValueError("index t_days must lie in [0, 86400)")
+        self.tday_order = np.argsort(self.t_days, kind="stable")
+        self.sorted_t_days = self.t_days[self.tday_order]
 
     @classmethod
     def build(cls, records: Sequence[SemanticRecord]) -> "RecordIndex":
@@ -187,6 +211,25 @@ class RecordIndex:
     def from_traces(cls, traces: Sequence[Trace]) -> "RecordIndex":
         return cls.build([r for tr in traces for r in tr])
 
+    def _time_window(self, t_day: float, half_width: float) -> np.ndarray:
+        """Ascending indices of a superset of the records within half_width of t_day."""
+        reach = half_width + _WINDOW_PAD_S
+        if reach >= SECONDS_PER_DAY / 2.0:
+            return np.arange(len(self.t_days))
+        lo, hi = t_day - reach, t_day + reach
+        if lo < 0.0:
+            spans = ((lo + SECONDS_PER_DAY, SECONDS_PER_DAY), (0.0, hi))
+        elif hi >= SECONDS_PER_DAY:
+            spans = ((lo, SECONDS_PER_DAY), (0.0, hi - SECONDS_PER_DAY))
+        else:
+            spans = ((lo, hi),)
+        keys = self.sorted_t_days
+        window = np.concatenate([
+            self.tday_order[np.searchsorted(keys, a, "left"):np.searchsorted(keys, b, "right")]
+            for a, b in spans
+        ])
+        return np.sort(window)
+
 
 @dataclass
 class CandidatePool:
@@ -195,6 +238,14 @@ class CandidatePool:
     truth_index: int
     candidates: list
     insufficient: bool = False
+
+
+def _check_pool_params(dist_thresh: float, time_thresh: float, pool_size: int) -> None:
+    for name, value in (("dist_thresh", dist_thresh), ("time_thresh", time_thresh)):
+        if not value >= 0.0:  # also false for NaN
+            raise ValueError(f"{name} must be a number >= 0, got {value!r}")
+    if pool_size < 2:
+        raise ValueError(f"pool_size must be >= 2, got {pool_size!r}")
 
 
 def build_candidate_pool(
@@ -212,26 +263,27 @@ def build_candidate_pool(
     time_thresh seconds circular time-of-day difference (both thresholds
     closed); the truth itself is excluded from the negatives and placed
     at a seeded random position.  When fewer than pool_size - 1 records
-    qualify the pool is emitted smaller with insufficient=True.
+    qualify the pool is emitted smaller with insufficient=True.  Only the
+    index's time-of-day window around the truth is searched.  A negative
+    or NaN threshold, or pool_size < 2, raises ValueError.
     """
+    _check_pool_params(dist_thresh, time_thresh, pool_size)
     if len(test_trace) < 2:
         raise ValueError("test trace must have at least 2 records")
     truth = test_trace[-1]
-    dists = haversine_m(all_records.locs, truth.loc)
-    tdiffs = circular_tday_diff(all_records.t_days, truth.t_day)
+    window = all_records._time_window(truth.t_day, time_thresh)
+    # np.take gathers rows much faster than fancy indexing does.
+    dists = haversine_m(np.take(all_records.locs, window, axis=0), truth.loc)
+    tdiffs = circular_tday_diff(all_records.t_days[window], truth.t_day)
     qualify = (dists <= dist_thresh) & (tdiffs <= time_thresh)
-    candidates_idx = [
-        i for i in np.flatnonzero(qualify) if all_records.records[i] is not truth
-    ]
+    near = [i for i in window[qualify].tolist() if all_records.records[i] is not truth]
 
     rng = np.random.default_rng(seed)
     n_negatives = pool_size - 1
-    insufficient = len(candidates_idx) < n_negatives
+    insufficient = len(near) < n_negatives
     if not insufficient:
-        chosen = rng.choice(len(candidates_idx), size=n_negatives, replace=False)
-        negatives = [all_records.records[candidates_idx[i]] for i in chosen]
-    else:
-        negatives = [all_records.records[i] for i in candidates_idx]
+        near = [near[i] for i in rng.choice(len(near), size=n_negatives, replace=False)]
+    negatives = [all_records.records[i] for i in near]
     truth_pos = int(rng.integers(0, len(negatives) + 1))
     pool = negatives[:truth_pos] + [truth] + negatives[truth_pos:]
     return CandidatePool(truth_index=truth_pos, candidates=pool, insufficient=insufficient)
@@ -246,6 +298,8 @@ def build_pools(
     seed: int = 0,
 ) -> list[CandidatePool]:
     """One pool per test trace, with a per-trace derived seed (seed ^ index)."""
+    # build_candidate_pool checks each call; this is for an empty test list.
+    _check_pool_params(dist_thresh, time_thresh, pool_size)
     return [
         build_candidate_pool(
             trace, all_records, dist_thresh, time_thresh, pool_size, seed=seed ^ i

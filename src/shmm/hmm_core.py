@@ -256,8 +256,8 @@ class _CorpusBundle:
 def _bundle_corpus(corpus: Sequence[Trace], embedding_dim: int) -> _CorpusBundle:
     if len(corpus) == 0:
         raise EmptyCorpusError("corpus contains no traces")
-    for trace in corpus:
-        _check_trace(trace, embedding_dim)
+    for i, trace in enumerate(corpus):
+        _check_trace(trace, embedding_dim, f"trace {i}: ")
     times = np.concatenate([t.times for t in corpus])
     locs = np.concatenate([t.locs for t in corpus])
     embeds = np.concatenate([t.embeddings for t in corpus])
@@ -265,12 +265,13 @@ def _bundle_corpus(corpus: Sequence[Trace], embedding_dim: int) -> _CorpusBundle
     return _CorpusBundle(times, locs, embeds, packing)
 
 
-def _check_trace(trace: Trace, embedding_dim: int) -> None:
+def _check_trace(trace: Trace, embedding_dim: int, where: str = "") -> None:
+    """Raise for an empty trace or a foreign embedding dim; where prefixes the message."""
     if len(trace) == 0:
-        raise ValueError("trace is empty")
+        raise ValueError(f"{where}trace is empty")
     if trace.embeddings.shape[1] != embedding_dim:
         raise DimensionMismatchError(
-            f"trace embedding dim {trace.embeddings.shape[1]} != model {embedding_dim}"
+            f"{where}trace embedding dim {trace.embeddings.shape[1]} != model {embedding_dim}"
         )
 
 
@@ -436,7 +437,7 @@ def baum_welch(
         raise ValueError("k must be >= 1")
     if stop.max_iters < 1 or stop.rel_tol < 0.0:
         raise ValueError("need max_iters >= 1 and rel_tol >= 0")
-    embedding_dim = corpus[0].embeddings.shape[1]
+    embedding_dim = corpus[0].embeddings.shape[-1]
     bundle = _bundle_corpus(corpus, embedding_dim)
 
     if isinstance(init, ShmmModel):
@@ -515,7 +516,8 @@ def score_next(model: ShmmModel, prefix: Trace, candidates: Sequence, k_top: int
     """Rank candidate next records by one-step-ahead joint log score.
 
     score(c) = log sum_z alpha_{R-1}(z) sum_z' A(z, z') exp(log_emission(z', c)),
-    computed in log space.  Returns the top k_top candidates as
+    computed in log space, with one emission matrix over the prefix
+    records and the candidates.  Returns the top k_top candidates as
     (candidate_index, score) pairs, ranked descending; ties keep input
     order.
     """
@@ -527,16 +529,14 @@ def score_next(model: ShmmModel, prefix: Trace, candidates: Sequence, k_top: int
     if candidates[0].embedding.shape[0] != model.embedding_dim:
         raise DimensionMismatchError("candidate embedding dimension does not match model")
     log_pi, log_a = _log_probs(model)
-    log_b = log_emission_matrix(
-        model.states, model.config, prefix.times, prefix.locs, prefix.embeddings
-    )
-    alpha = _forward(log_pi, log_a, log_b, _pack([len(prefix)]))[-1]
+    n = len(prefix)
+    times, locs, embeds = stack_records(list(prefix) + list(candidates))
+    log_b = log_emission_matrix(model.states, model.config, times, locs, embeds)
+    alpha = _forward(log_pi, log_a, log_b[:n], _pack([n]))[-1]
     if not np.isfinite(alpha.max()):
         raise NonFiniteLikelihoodError("prefix log-likelihood is not finite")
     log_pred = _logsumexp(alpha[:, None] + log_a, axis=0)
-    times, locs, embeds = stack_records(candidates)
-    log_b = log_emission_matrix(model.states, model.config, times, locs, embeds)
-    scores = _logsumexp(log_pred[None, :] + log_b, axis=1)
+    scores = _logsumexp(log_pred[None, :] + log_b[n:], axis=1)
     order = np.argsort(-scores, kind="stable")[: int(k_top)]
     return [(int(i), float(scores[i])) for i in order]
 

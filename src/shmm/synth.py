@@ -195,6 +195,8 @@ def estimation_error(experiment: str, grid: Sequence[float] | None = None, p: in
     argument; per-seed rows, seeded seed + 1000*s + int(x), precede the means.
     """
     axis, default_grid, default_seeds = ESTIMATION_GRIDS[experiment]
+    if n_seeds is not None and n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds!r}")
     params = {"p": p, "kappa": kappa, "n": n}
     rows = []
     for value in default_grid if grid is None else grid:

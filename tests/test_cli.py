@@ -321,6 +321,28 @@ class TestPredict:
         assert rc == 1
         assert "log-likelihood is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--time-thresh", "-5", "time_thresh"),
+        ("--dist-thresh", "nan", "dist_thresh"),
+        ("--pool-size", "0", "pool_size"),
+        ("--pool-size", "1", "pool_size"),
+    ])
+    def test_bad_pool_parameter_fails_cleanly(self, tmp_path, capsys, flag, value, name):
+        model_true = planted_model(3, 6, seed=3, loc_cov=np.diag([1e-5, 1e-5]))
+        corpus_path = tmp_path / "test.ndjson"
+        data_io.write_corpus(sample_corpus(model_true, 10, 4, seed=4), corpus_path)
+        from shmm.hmm_core import save_model
+
+        model_path = tmp_path / "model.json"
+        save_model(model_true, model_path)
+        out = tmp_path / "pred"
+        rc = main([
+            "predict", "--model", str(model_path), "--corpus", str(corpus_path),
+            "--output-dir", str(out), flag, value,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {name} must be")
+        assert not (out / "accuracy.csv").exists()
 
     def test_malformed_model_fails_cleanly(self, tmp_path, capsys):
         model_true = planted_model(3, 6, seed=3)
@@ -342,6 +364,16 @@ class TestPredict:
 
 
 class TestSynth:
+    def test_zero_seeds_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        rc = main([
+            "synth", "estimation_vs_p", "--grid", "3", "--n", "100", "--n-seeds", "0",
+            "--output-dir", str(out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: n_seeds must be >= 1")
+        assert not (out / "estimation_vs_p.csv").exists()
+
     def test_newton_convergence_csv(self, tmp_path):
         out = tmp_path / "synth"
         rc = main([

@@ -1,6 +1,8 @@
 """Tests for segmentation, splitting, candidate pools and evaluation."""
 
+import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -21,6 +23,8 @@ from shmm.data_io import (
     write_corpus,
 )
 from shmm.records import SemanticRecord, Trace
+
+import _pool_reference
 
 
 def unit(v):
@@ -203,6 +207,198 @@ class TestCandidatePool:
         pool = build_candidate_pool(trace, index, 3500.0, 300.0, seed=17)
         assert sum(1 for c in pool.candidates if c is truth) == 1
         assert pool.candidates[pool.truth_index] is truth
+
+
+def assert_same_pool(pool, expected):
+    assert pool.truth_index == expected.truth_index
+    assert pool.insufficient == expected.insufficient
+    assert len(pool.candidates) == len(expected.candidates)
+    assert all(a is b for a, b in zip(pool.candidates, expected.candidates))
+
+
+class TestTimeWindowPools:
+    """The time-of-day window against the full-scan oracle in `_pool_reference`."""
+
+    def _trace_at(self, t_day):
+        return Trace([make_record(0.0, t_day=1000.0), make_record(HOUR, t_day=t_day)])
+
+    def _index(self, truth, n=300, seed=0):
+        # Times of day cluster around the truth's (wrapping at midnight)
+        # and spread over the whole day; locations around the truth's.
+        rng = np.random.default_rng(seed)
+        near = (truth.t_day + rng.uniform(-900.0, 900.0, size=n // 2)) % 86400.0
+        spread = rng.uniform(0.0, 86400.0, size=n - n // 2)
+        others = [
+            make_record(float(i), t_day=float(t), loc=truth.loc + rng.normal(0.0, 0.01, size=2))
+            for i, t in enumerate(np.concatenate([near, spread]))
+        ]
+        order = rng.permutation(n + 1)
+        return RecordIndex.build([(others + [truth])[i] for i in order])
+
+    @pytest.mark.parametrize("t_day", [0.0, 30.0, 43200.0, 86370.0, 86399.5])
+    @pytest.mark.parametrize("time_thresh", [0.0, 300.0, 43199.0, 43200.0, 50000.0, math.inf])
+    def test_matches_full_scan(self, t_day, time_thresh):
+        trace = self._trace_at(t_day)
+        index = self._index(trace[-1], seed=int(t_day))
+        for seed in range(5):
+            pool = build_candidate_pool(trace, index, 1500.0, time_thresh, pool_size=10, seed=seed)
+            expected = _pool_reference.build_candidate_pool(
+                trace, index, 1500.0, time_thresh, pool_size=10, seed=seed
+            )
+            assert_same_pool(pool, expected)
+
+    @pytest.mark.parametrize("t_day", [100.0, 86300.0])
+    def test_records_on_the_wrapped_time_boundary(self, t_day):
+        trace = self._trace_at(t_day)
+        truth = trace[-1]
+        boundary_dist = float(haversine_m(np.array([0.03, 0.0]), truth.loc))
+        on_edges = [
+            make_record(1.0, t_day=(t_day + 300.0) % 86400.0, loc=truth.loc),
+            make_record(2.0, t_day=(t_day - 300.0) % 86400.0, loc=truth.loc),
+            make_record(3.0, t_day=t_day, loc=(0.03, 0.0)),
+        ]
+        outside = [
+            make_record(4.0, t_day=(t_day + 300.5) % 86400.0, loc=truth.loc),
+            make_record(5.0, t_day=(t_day - 300.5) % 86400.0, loc=truth.loc),
+            make_record(6.0, t_day=t_day, loc=(0.0301, 0.0)),
+        ]
+        for rec in on_edges:
+            assert float(circular_tday_diff(rec.t_day, t_day)) <= 300.0
+        index = RecordIndex.build(outside + on_edges + [truth])
+        pool = build_candidate_pool(trace, index, boundary_dist, 300.0, pool_size=10, seed=1)
+        expected = _pool_reference.build_candidate_pool(
+            trace, index, boundary_dist, 300.0, pool_size=10, seed=1
+        )
+        assert_same_pool(pool, expected)
+        members = {id(c) for c in pool.candidates}
+        assert all(id(rec) in members for rec in on_edges)
+        assert not any(id(rec) in members for rec in outside)
+
+    def test_value_equal_copy_of_truth_is_a_negative(self):
+        trace = self._trace_at(5000.0)
+        truth = trace[-1]
+        twin = dataclasses.replace(truth)
+        index = RecordIndex.build([twin, truth, twin])
+        for seed in range(4):
+            pool = build_candidate_pool(trace, index, 3500.0, 300.0, pool_size=3, seed=seed)
+            expected = _pool_reference.build_candidate_pool(
+                trace, index, 3500.0, 300.0, pool_size=3, seed=seed
+            )
+            assert_same_pool(pool, expected)
+            assert sum(c is truth for c in pool.candidates) == 1
+            assert sum(c is twin for c in pool.candidates) == 2
+
+    def test_truth_listed_twice_is_excluded_twice(self):
+        trace = self._trace_at(5000.0)
+        truth = trace[-1]
+        near = make_record(1.0, t_day=5010.0, loc=truth.loc)
+        index = RecordIndex.build([truth, near, truth])
+        pool = build_candidate_pool(trace, index, 3500.0, 300.0, pool_size=10, seed=2)
+        expected = _pool_reference.build_candidate_pool(
+            trace, index, 3500.0, 300.0, pool_size=10, seed=2
+        )
+        assert_same_pool(pool, expected)
+        assert len(pool.candidates) == 2
+
+    @pytest.mark.parametrize("member", ["truth", "other"])
+    def test_one_record_index(self, member):
+        trace = self._trace_at(86390.0)
+        record = trace[-1] if member == "truth" else make_record(1.0, t_day=20.0, loc=trace[-1].loc)
+        index = RecordIndex.build([record])
+        pool = build_candidate_pool(trace, index, 3500.0, 300.0, pool_size=10, seed=0)
+        expected = _pool_reference.build_candidate_pool(
+            trace, index, 3500.0, 300.0, pool_size=10, seed=0
+        )
+        assert_same_pool(pool, expected)
+        assert pool.insufficient
+        assert len(pool.candidates) == (1 if member == "truth" else 2)
+
+    @pytest.mark.parametrize("time_thresh", [0.0, 300.0, 7200.0, 43200.0])
+    def test_build_pools_matches_full_scan(self, time_thresh):
+        rng = np.random.default_rng(21)
+        traces = [
+            Trace([
+                make_record(0.0, t_day=float(rng.uniform(0, 86400)),
+                            loc=rng.normal(0.0, 0.02, size=2)),
+                make_record(10.0, t_day=float(rng.choice([0.0, 5.0, 86395.0, rng.uniform(0, 86400)])),
+                            loc=rng.normal(0.0, 0.02, size=2)),
+            ])
+            for _ in range(150)
+        ]
+        index = RecordIndex.from_traces(traces)
+        pools = build_pools(traces, index, 2500.0, time_thresh, pool_size=5, seed=4)
+        expected = _pool_reference.build_pools(traces, index, 2500.0, time_thresh, 5, 4)
+        for pool, ref in zip(pools, expected):
+            assert_same_pool(pool, ref)
+
+    def test_direct_construction_derives_the_order(self):
+        records = [make_record(float(i), t_day=t) for i, t in enumerate((500.0, 10.0, 500.0, 86000.0))]
+        index = RecordIndex(
+            records=records,
+            locs=np.array([r.loc for r in records]),
+            t_days=[r.t_day for r in records],
+        )
+        assert index.tday_order.tolist() == [1, 0, 2, 3]
+        assert index.sorted_t_days.tolist() == [10.0, 500.0, 500.0, 86000.0]
+
+    def test_truth_excluded_from_a_rounded_snapshot(self):
+        # float32 locs and t_days put the truth at a non-zero distance and
+        # time difference from itself; it is still excluded by identity.
+        trace = Trace([make_record(0.0, t_day=1000.0),
+                       make_record(HOUR, t_day=5000.3, loc=(0.1, 0.2))])
+        truth = trace[-1]
+        records = [make_record(1.0, t_day=5010.7, loc=(0.1001, 0.2)), truth,
+                   make_record(2.0, t_day=4990.1, loc=(0.1, 0.2001))]
+        index = RecordIndex(
+            records=records,
+            locs=np.array([r.loc for r in records], dtype=np.float32),
+            t_days=np.array([r.t_day for r in records], dtype=np.float32),
+        )
+        assert float(haversine_m(index.locs[1], truth.loc)) > 0.0
+        assert float(circular_tday_diff(index.t_days[1], truth.t_day)) > 0.0
+        for seed in range(3):
+            pool = build_candidate_pool(trace, index, 3500.0, 300.0, pool_size=3, seed=seed)
+            expected = _pool_reference.build_candidate_pool(
+                trace, index, 3500.0, 300.0, pool_size=3, seed=seed
+            )
+            assert_same_pool(pool, expected)
+            assert sum(c is truth for c in pool.candidates) == 1
+            assert not pool.insufficient
+
+    @pytest.mark.parametrize("t_day", [-1.0, 86400.0, math.nan])
+    def test_index_rejects_time_of_day_out_of_range(self, t_day):
+        with pytest.raises(ValueError, match="t_days"):
+            RecordIndex(records=[None], locs=np.zeros((1, 2)), t_days=np.array([t_day]))
+
+
+class TestPoolParameters:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"dist_thresh": -1.0}, "dist_thresh"),
+        ({"dist_thresh": math.nan}, "dist_thresh"),
+        ({"time_thresh": -5.0}, "time_thresh"),
+        ({"time_thresh": math.nan}, "time_thresh"),
+        ({"pool_size": 1}, "pool_size"),
+        ({"pool_size": 0}, "pool_size"),
+        ({"pool_size": -3}, "pool_size"),
+    ])
+    def test_bad_parameter_is_named(self, kwargs, name):
+        trace = Trace([make_record(0.0, t_day=1000.0), make_record(HOUR, t_day=5000.0)])
+        index = RecordIndex.build(list(trace))
+        args = {"dist_thresh": 3500.0, "time_thresh": 300.0, "pool_size": 10, **kwargs}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            build_candidate_pool(trace, index, **args)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            build_pools([trace], index, **args)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            build_pools([], index, **args)
+
+    def test_smallest_valid_parameters(self):
+        trace = Trace([make_record(0.0, t_day=1000.0), make_record(HOUR, t_day=5000.0)])
+        twin = dataclasses.replace(trace[-1])
+        index = RecordIndex.build([twin, trace[-1]])
+        pool = build_candidate_pool(trace, index, 0.0, 0.0, pool_size=2, seed=0)
+        assert not pool.insufficient
+        assert {id(c) for c in pool.candidates} == {id(twin), id(trace[-1])}
 
 
 class TestEvaluatePrediction:

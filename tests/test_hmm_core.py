@@ -319,6 +319,24 @@ class TestBaumWelch:
         with pytest.raises(EmptyCorpusError):
             baum_welch([], 2, EmissionConfig.shmm())
 
+    def test_foreign_embedding_dim_names_the_trace(self):
+        from shmm.hmm_core import DimensionMismatchError
+
+        rng = np.random.default_rng(30)
+        corpus = [random_trace(3, 4, rng) for _ in range(5)]
+        corpus[3] = random_trace(3, 5, rng)
+        with pytest.raises(DimensionMismatchError,
+                           match="^trace 3: trace embedding dim 5 != model 4$"):
+            baum_welch(corpus, 2, EmissionConfig.shmm())
+
+    @pytest.mark.parametrize("position", [0, 3])
+    def test_empty_trace_is_named(self, position):
+        rng = np.random.default_rng(31)
+        corpus = [random_trace(3, 4, rng) for _ in range(5)]
+        corpus[position] = Trace([])
+        with pytest.raises(ValueError, match=f"^trace {position}: trace is empty$"):
+            baum_welch(corpus, 2, EmissionConfig.shmm())
+
 
 class TestSerialization:
     def test_round_trip_preserves_likelihood(self, tmp_path):

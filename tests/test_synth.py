@@ -83,6 +83,11 @@ class TestExperiments:
         with pytest.raises(KeyError):
             estimation_error("newton_convergence")
 
+    @pytest.mark.parametrize("n_seeds", [0, -2])
+    def test_seed_count_below_one_raises(self, n_seeds):
+        with pytest.raises(ValueError, match="^n_seeds must be >= 1"):
+            estimation_error("estimation_vs_p", grid=(3,), n=100, n_seeds=n_seeds)
+
 
 # Small fixed parameters keep every grid point cheap; the swept one is
 # overridden by the grid.  Each reference driver names its grid argument
