@@ -203,7 +203,7 @@ class RecordIndex:
         records = list(records)
         return cls(
             records=records,
-            locs=np.array([r.loc for r in records], dtype=float),
+            locs=np.array([r.loc for r in records], dtype=float).reshape(-1, 2),
             t_days=np.array([r.t_day for r in records], dtype=float),
         )
 

@@ -132,6 +132,10 @@ class KMeansInit:
     seed: int = 0
     n_iter: int = 100
 
+    def __post_init__(self):
+        if self.n_iter < 1:
+            raise ValueError(f"n_iter must be >= 1, got {self.n_iter!r}")
+
 
 @dataclass(frozen=True)
 class StopCriteria:
@@ -360,27 +364,49 @@ def _kmeans_locations(locs: np.ndarray, k: int, seed: int, n_iter: int) -> np.nd
         d2 = np.minimum(d2, ((locs - centers[j]) ** 2).sum(axis=1))
 
     labels = np.zeros(n, dtype=int)
+    # squared distances as dx*dx + dy*dy over (N, K): the same operations in
+    # the same order as summing the squared (N, K, 2) differences, so ties
+    # break the same way (the expanded |x|^2 - 2x.c + |c|^2 would not).
+    # Squared and summed in place: fresh (N, K) temporaries cost more than
+    # the arithmetic.
+    loc_x, loc_y = locs[:, :1], locs[:, 1:]
     for _ in range(n_iter):
-        dists = ((locs[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        dists = loc_x - centers[:, 0]
+        dy = loc_y - centers[:, 1]
+        dists *= dists
+        dy *= dy
+        dists += dy
         new_labels = dists.argmin(axis=1)
-        # keep every cluster populated: steal the records the assignment
-        # explains worst
-        own = dists[np.arange(n), new_labels]
-        for j in range(k):
-            if not np.any(new_labels == j):
-                candidates = np.where(np.bincount(new_labels, minlength=k)[new_labels] > 1)[0]
-                if candidates.size == 0:
-                    candidates = np.arange(n)
-                steal = candidates[np.argmax(own[candidates])]
-                new_labels[steal] = j
-                own[steal] = 0.0
+        if np.bincount(new_labels, minlength=k).min() == 0:
+            # keep every cluster populated: steal the records the assignment
+            # explains worst
+            own = dists[np.arange(n), new_labels]
+            for j in range(k):
+                if not np.any(new_labels == j):
+                    candidates = np.where(np.bincount(new_labels, minlength=k)[new_labels] > 1)[0]
+                    if candidates.size == 0:
+                        candidates = np.arange(n)
+                    steal = candidates[np.argmax(own[candidates])]
+                    new_labels[steal] = j
+                    own[steal] = 0.0
         if np.array_equal(new_labels, labels):
             labels = new_labels
             break
         labels = new_labels
-        for j in range(k):
-            centers[j] = locs[labels == j].mean(axis=0)
+        centers = _cluster_means(locs, labels, k)
     return labels
+
+
+def _cluster_means(locs: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Row j is `locs[labels == j].mean(axis=0)`, bit for bit.
+
+    The stable sort lays each cluster's records out in record order as one
+    contiguous slice, so each mean sums the same values in the same order
+    as the boolean mask would, without k passes over the labels.
+    """
+    grouped = locs[np.argsort(labels, kind="stable")]
+    ends = np.cumsum(np.bincount(labels, minlength=k))[:-1]
+    return np.stack([members.mean(axis=0) for members in np.split(grouped, ends)])
 
 
 def _init_from_kmeans(corpus: Sequence[Trace], bundle: _CorpusBundle, k: int,

@@ -36,8 +36,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import gammaln
-
 _SERIES_KAPPA_CUTOFF = 30.0
 _SERIES_TAIL_LOG = 46.0  # stop once terms fall 46 nats below the peak (~1e-20)
 _SERIES_MAX_TERMS = 500_000
@@ -59,7 +57,7 @@ def _log_iv_series(v: float, kappa: float) -> float:
     peak = -math.inf
     q = 0
     while q < _SERIES_MAX_TERMS:
-        lt = (2 * q + v) * log_half - gammaln(q + 1) - gammaln(q + v + 1)
+        lt = (2 * q + v) * log_half - math.lgamma(q + 1) - math.lgamma(q + v + 1)
         log_terms.append(lt)
         if lt > peak:
             peak = lt

@@ -313,6 +313,16 @@ class TestTimeWindowPools:
         assert pool.insufficient
         assert len(pool.candidates) == (1 if member == "truth" else 2)
 
+    @pytest.mark.parametrize("time_thresh", [300.0, 43200.0])
+    def test_empty_index_gives_truth_only_pool(self, time_thresh):
+        index = RecordIndex.build([])
+        assert index.locs.shape == (0, 2)
+        trace = self._trace_at(500.0)
+        pool = build_candidate_pool(trace, index, 3500.0, time_thresh, pool_size=10, seed=0)
+        assert pool.insufficient
+        assert pool.truth_index == 0
+        assert len(pool.candidates) == 1 and pool.candidates[0] is trace[-1]
+
     @pytest.mark.parametrize("time_thresh", [0.0, 300.0, 7200.0, 43200.0])
     def test_build_pools_matches_full_scan(self, time_thresh):
         rng = np.random.default_rng(21)
