@@ -1,11 +1,12 @@
 """Command-line pipeline: preprocess, train, summarize, predict, synth.
 
-Every command is a pure function of its inputs, configuration and seeds:
-identical invocations produce byte-identical outputs except for
-wall-clock timing fields.  Options may come from a JSON config file
-(--config, keys named like the long flags with underscores; a key that
-is not an option of the subcommand is an error); explicit flags win over
-the file.
+Every command is a pure function of its inputs, configuration and seeds
+(--seed: train, predict and synth): identical invocations produce
+byte-identical outputs except for wall-clock timing fields.  A JSON
+--config file may set any option of the subcommand (keys named like the
+long flags with underscores; other keys are errors), each value read by
+its flag's type as the text after the flag (2.7, true or [1] for an int
+option is an error; null means unset).  Precedence: flag > config > default.
 
 Outputs land in --output-dir as CSV/JSON:
 
@@ -34,104 +35,117 @@ from .hmm_core import (
     NonFiniteLikelihoodError,
     StopCriteria,
     baum_welch,
+    check_embedding_dims,
     load_model,
     save_model,
 )
 from .records import SemanticRecord
 
+#: Default of an option that must be set, by flag or by config file.
+_REQUIRED = object()
 
-def _build_parser() -> argparse.ArgumentParser:
+
+def _comma_list(cast):
+    """Argparse type: a comma-separated list of cast values."""
+    def comma_list(text):
+        return [cast(x) for x in text.split(",")]
+    return comma_list
+
+
+def _build_parser():
+    """The shmm parser, and per subcommand the {dest: action} of its options."""
     parser = argparse.ArgumentParser(
-        prog="shmm",
-        description="Spherical hidden Markov models for semantic location traces.",
-    )
-    parser.add_argument("--config", help="JSON config file; explicit flags override it")
+        prog="shmm", description="Spherical hidden Markov models for semantic location traces.")
+    parser.add_argument("--config", type=Path, help="JSON config file; explicit flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def add_common(p):
-        p.add_argument("--output-dir", help="directory for outputs (default: .)")
-        p.add_argument("--seed", type=int, help="master random seed (default: 0)")
+    def add_command(name, help, seeded):
+        p = sub.add_parser(name, help=help)
+        options = commands[name] = {}
 
-    p = sub.add_parser("preprocess", help="ingest raw NDJSON into an embedded trace corpus")
-    add_common(p)
-    p.add_argument("--input", help="raw NDJSON records (user_id, timestamp, lon, lat, text)")
-    p.add_argument("--embeddings", help="keyword-vector file")
-    p.add_argument("--delta-t", type=float, help="segmentation gap threshold, seconds (21600)")
-    p.add_argument("--min-len", type=int, help="minimum trace length kept (2)")
-    p.add_argument("--utc-offset", type=float, help="seconds added to UTC for time of day (0)")
+        def option(flag, help, **kwargs):
+            if kwargs.get("default") not in (None, _REQUIRED):
+                help += " (%(default)s)"
+            action = p.add_argument(flag, help=help, **kwargs)
+            options[action.dest] = action
 
-    p = sub.add_parser("train", help="fit a model to a corpus by Baum-Welch EM")
-    add_common(p)
-    p.add_argument("--corpus", help="preprocessed corpus NDJSON")
-    p.add_argument("--k", type=int, help="number of latent states")
-    p.add_argument("--preset", help="emission preset: shmm | st-hmm | hmm | ghmm (shmm)")
-    p.add_argument("--rel-tol", type=float, help="EM relative-improvement stop (1e-6)")
-    p.add_argument("--max-iters", type=int, help="EM iteration cap (200)")
-    p.add_argument("--sigma-t-floor", type=float, help=f"time SD floor, seconds ({SIGMA_T_FLOOR})")
-    p.add_argument("--var-floor", type=float, help=f"variance floor ({VAR_FLOOR})")
+        option("--output-dir", type=Path, default=".", help="directory for outputs")
+        if seeded:
+            option("--seed", type=int, default=0, help="master random seed")
+        return p, option
 
-    p = sub.add_parser("summarize", help="per-state table: location, time, kappa, keywords")
-    add_common(p)
-    p.add_argument("--model", help="model JSON")
-    p.add_argument("--embeddings", help="keyword-vector file")
-    p.add_argument("--k-keywords", type=int, help="keywords per state (10)")
+    _, option = add_command("preprocess", "ingest raw NDJSON into an embedded trace corpus", False)
+    option("--input", type=Path, default=_REQUIRED,
+           help="raw NDJSON records (user_id, timestamp, lon, lat, text)")
+    option("--embeddings", default=_REQUIRED, help="keyword-vector file")
+    option("--delta-t", type=float, default=data_io.DEFAULT_DELTA_T,
+           help="segmentation gap threshold, seconds")
+    option("--min-len", type=int, default=data_io.DEFAULT_MIN_TRACE_LEN,
+           help="minimum trace length kept")
+    option("--utc-offset", type=float, default=0.0, help="seconds added to UTC for time of day")
 
-    p = sub.add_parser("predict", help="next-record accuracy@K over candidate pools")
-    add_common(p)
-    p.add_argument("--model", help="model JSON")
-    p.add_argument("--corpus", help="test corpus NDJSON")
-    p.add_argument("--dataset", help="dataset label for the CSV (default: corpus stem)")
-    p.add_argument("--dist-thresh", type=float, help="pool distance threshold, meters (3500)")
-    p.add_argument("--time-thresh", type=float, help="pool time-of-day threshold, seconds (300)")
-    p.add_argument("--pool-size", type=int, help="candidates per pool incl. truth (10)")
-    p.add_argument("--k-list", help="comma-separated accuracy cutoffs (1,5,10)")
+    _, option = add_command("train", "fit a model to a corpus by Baum-Welch EM", True)
+    option("--corpus", type=Path, default=_REQUIRED, help="preprocessed corpus NDJSON")
+    option("--k", type=int, default=_REQUIRED, help="number of latent states")
+    option("--preset", default="shmm", help="preset: shmm | st-hmm | hmm | ghmm")
+    option("--rel-tol", type=float, default=StopCriteria.rel_tol,
+           help="EM relative-improvement stop")
+    option("--max-iters", type=int, default=StopCriteria.max_iters, help="EM iteration cap")
+    option("--sigma-t-floor", type=float, default=SIGMA_T_FLOOR, help="time SD floor, seconds")
+    option("--var-floor", type=float, default=VAR_FLOOR, help="variance floor")
 
-    p = sub.add_parser("synth", help="synthetic convergence / estimation experiments")
-    add_common(p)
+    _, option = add_command("summarize", "per-state table: location, time, kappa, keywords", False)
+    option("--model", type=Path, default=_REQUIRED, help="model JSON")
+    option("--embeddings", default=_REQUIRED, help="keyword-vector file")
+    option("--k-keywords", type=int, default=10, help="keywords per state")
+
+    _, option = add_command("predict", "next-record accuracy@K over candidate pools", True)
+    option("--model", type=Path, default=_REQUIRED, help="model JSON")
+    option("--corpus", type=Path, default=_REQUIRED, help="test corpus NDJSON")
+    option("--dataset", help="dataset label for the CSV (default: corpus stem)")
+    option("--dist-thresh", type=float, default=3500.0, help="pool distance threshold, meters")
+    option("--time-thresh", type=float, default=300.0, help="pool time-of-day threshold, seconds")
+    option("--pool-size", type=int, default=data_io.DEFAULT_POOL_SIZE,
+           help="candidates per pool incl. truth")
+    option("--k-list", type=_comma_list(int), default="1,5,10",
+           help="comma-separated accuracy cutoffs")
+
+    p, option = add_command("synth", "synthetic convergence / estimation experiments", True)
     p.add_argument("experiment", choices=sorted(["newton_convergence", *synth.ESTIMATION_GRIDS]),
                    help="which experiment to run")
-    p.add_argument("--p", type=int, help="embedding dimension (100)")
-    p.add_argument("--kappa", type=float, help="true concentration (100)")
-    p.add_argument("--n", type=int, help="sample size (100000)")
-    p.add_argument("--n-seeds", type=int, help="seeds per grid point (experiment default)")
-    p.add_argument("--grid", help="comma-separated grid overriding the experiment default")
-    return parser
+    # None defaults let cmd_synth note a flag that does not apply; see synth.py for defaults
+    option("--p", type=int, help="embedding dimension (100)")
+    option("--kappa", type=float, help="true concentration (100)")
+    option("--n", type=int, help="sample size (100000)")
+    option("--n-seeds", type=int, help="seeds per grid point (experiment default)")
+    option("--grid", type=_comma_list(float),
+           help="comma-separated grid overriding the experiment default")
+    return parser, commands
 
 
-def _load_config(args: argparse.Namespace) -> dict:
-    if not args.config:
-        return {}
-    doc = json.loads(Path(args.config).read_text())
+def _apply_config(path: Path, command: str, options: dict) -> None:
+    """Make each config-file value the default of its option, read by the flag's type."""
+    doc = json.loads(path.read_text())
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
-    # The namespace holds a dest for every option of the chosen subcommand.
-    options = set(vars(args)) - {"config", "command", "experiment"}
-    for key in doc:
+    for key, value in doc.items():
         if key not in options:
-            raise ValueError(f"config key {key!r} is not an option of {args.command!r}")
-    return doc
+            raise ValueError(f"config key {key!r} is not an option of {command!r}")
+        cast = options[key].type or str
+        try:
+            if isinstance(value, (bool, list, dict)):  # no flag text reads as one
+                raise ValueError
+            if value is not None:
+                options[key].default = cast(str(value))
+        except ValueError:
+            raise ValueError(f"config key {key!r}: invalid {cast.__name__} value "
+                             f"{json.dumps(value)}") from None
 
 
-class _Options:
-    """Flag/config/default resolution; explicit flags win."""
-
-    def __init__(self, args: argparse.Namespace, config: dict):
-        self._args = vars(args)
-        self._config = config
-
-    def get(self, key, default=None, required=False):
-        value = self._args.get(key)
-        if value is None:
-            value = self._config.get(key, default)
-        if required and value is None:
-            raise SystemExit(f"missing required option --{key.replace('_', '-')}")
-        return value
-
-
-def _out_dir(opts: _Options) -> Path:
-    out = Path(opts.get("output_dir", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _out_dir(args: argparse.Namespace) -> Path:
+    args.output_dir.mkdir(parents=True, exist_ok=True)
+    return args.output_dir
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -141,25 +155,13 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _emission_config(opts: _Options) -> EmissionConfig:
-    return EmissionConfig.preset(
-        opts.get("preset", "shmm"),
-        sigma_t_floor=float(opts.get("sigma_t_floor", SIGMA_T_FLOOR)),
-        var_floor=float(opts.get("var_floor", VAR_FLOOR)),
-    )
+def cmd_preprocess(args: argparse.Namespace) -> int:
+    table = text_embed.load_keyword_vectors(args.embeddings)
+    if not args.input.exists():
+        raise FileNotFoundError(f"input file {args.input} does not exist")
+    out = _out_dir(args)
 
-
-def cmd_preprocess(opts: _Options) -> int:
-    table = text_embed.load_keyword_vectors(Path(opts.get("embeddings", required=True)))
-    input_path = Path(opts.get("input", required=True))
-    if not input_path.exists():
-        raise FileNotFoundError(f"input file {input_path} does not exist")
-    delta_t = float(opts.get("delta_t", data_io.DEFAULT_DELTA_T))
-    min_len = int(opts.get("min_len", data_io.DEFAULT_MIN_TRACE_LEN))
-    utc_offset = float(opts.get("utc_offset", 0.0))
-    out = _out_dir(opts)
-
-    raw = list(data_io.read_raw_records(input_path))
+    raw = list(data_io.read_raw_records(args.input))
     messages = [text_embed.tokenize(text) for *_, text in raw]
     if messages:
         table = table.with_idf(text_embed.compute_idf(messages, table.vocabulary))
@@ -176,7 +178,7 @@ def cmd_preprocess(opts: _Options) -> int:
             SemanticRecord(
                 user_id=user_id,
                 t_abs=t_abs,
-                t_day=data_io.to_time_of_day(t_abs, utc_offset),
+                t_day=data_io.to_time_of_day(t_abs, args.utc_offset),
                 loc=np.array([lon, lat]),
                 embedding=embedding,
                 raw_text=text,
@@ -187,7 +189,7 @@ def cmd_preprocess(opts: _Options) -> int:
     dropped_short = 0
     for user_id in sorted(by_user):
         records = sorted(by_user[user_id], key=lambda r: r.t_abs)
-        result = data_io.segment_history(records, delta_t=delta_t, min_len=min_len)
+        result = data_io.segment_history(records, delta_t=args.delta_t, min_len=args.min_len)
         traces.extend(result.traces)
         dropped_short += result.n_dropped_records
 
@@ -201,11 +203,11 @@ def cmd_preprocess(opts: _Options) -> int:
         "n_traces": len(traces),
         "n_records_kept": sum(len(t) for t in traces),
         "config": {
-            "input": str(input_path),
-            "embeddings": str(opts.get("embeddings")),
-            "delta_t": delta_t,
-            "min_len": min_len,
-            "utc_offset": utc_offset,
+            "input": str(args.input),
+            "embeddings": args.embeddings,
+            "delta_t": args.delta_t,
+            "min_len": args.min_len,
+            "utc_offset": args.utc_offset,
         },
     }
     (out / "preprocess_report.json").write_text(json.dumps(report, indent=1) + "\n")
@@ -213,18 +215,14 @@ def cmd_preprocess(opts: _Options) -> int:
     return 0
 
 
-def cmd_train(opts: _Options) -> int:
-    corpus = data_io.read_corpus(Path(opts.get("corpus", required=True)))
-    k = int(opts.get("k", required=True))
-    config = _emission_config(opts)
-    stop = StopCriteria(
-        rel_tol=float(opts.get("rel_tol", 1e-6)),
-        max_iters=int(opts.get("max_iters", 200)),
-    )
-    seed = int(opts.get("seed", 0))
-    out = _out_dir(opts)
+def cmd_train(args: argparse.Namespace) -> int:
+    corpus = data_io.read_corpus(args.corpus)
+    config = EmissionConfig.preset(args.preset, sigma_t_floor=args.sigma_t_floor,
+                                   var_floor=args.var_floor)
+    stop = StopCriteria(rel_tol=args.rel_tol, max_iters=args.max_iters)
+    out = _out_dir(args)
 
-    model, history = baum_welch(corpus, k, config, init=KMeansInit(seed=seed), stop=stop)
+    model, history = baum_welch(corpus, args.k, config, init=KMeansInit(seed=args.seed), stop=stop)
     model_path = out / "model.json"
     save_model(model, model_path)
     _write_csv(
@@ -232,29 +230,28 @@ def cmd_train(opts: _Options) -> int:
         ["iteration", "loglik", "seconds"],
         [(i, f"{h.loglik!r}", f"{h.seconds:.6f}") for i, h in enumerate(history)],
     )
-    print(f"wrote {model_path} (K={k}, {len(history)} EM iterations, "
+    print(f"wrote {model_path} (K={args.k}, {len(history)} EM iterations, "
           f"final loglik {history[-1].loglik:.4f})")
     return 0
 
 
-def cmd_summarize(opts: _Options) -> int:
-    model = load_model(Path(opts.get("model", required=True)))
-    table = text_embed.load_keyword_vectors(Path(opts.get("embeddings", required=True)))
+def cmd_summarize(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    table = text_embed.load_keyword_vectors(args.embeddings)
     if table.dim != model.embedding_dim:
         raise ValueError(
             f"keyword vectors have dim {table.dim} but the model expects "
             f"{model.embedding_dim}"
         )
-    k_keywords = int(opts.get("k_keywords", 10))
-    out = _out_dir(opts)
+    out = _out_dir(args)
 
     rows = []
     for j, state in enumerate(model.states):
         if state.text is not None:
             kappa = f"{float(state.text.kappa)!r}"
-            keywords = " ".join(
-                text_embed.nearest_keywords(state.text.mu, table, min(k_keywords, len(table.vocabulary)))
-            )
+            keywords = " ".join(text_embed.nearest_keywords(
+                state.text.mu, table, min(args.k_keywords, len(table.vocabulary))
+            ))
         else:
             kappa, keywords = "", ""
         order = np.argsort(-model.trans[j], kind="stable")[:5]
@@ -282,84 +279,83 @@ def cmd_summarize(opts: _Options) -> int:
     return 0
 
 
-def cmd_predict(opts: _Options) -> int:
-    model = load_model(Path(opts.get("model", required=True)))
-    corpus_path = Path(opts.get("corpus", required=True))
-    test = data_io.read_corpus(corpus_path)
+def cmd_predict(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
+    test = data_io.read_corpus(args.corpus)
+    check_embedding_dims(test, model.embedding_dim)
     usable = [t for t in test if len(t) >= 2]
     if not usable:
         raise ValueError("test corpus has no traces of length >= 2")
-    dist_thresh = float(opts.get("dist_thresh", 3500.0))
-    time_thresh = float(opts.get("time_thresh", 300.0))
-    pool_size = int(opts.get("pool_size", data_io.DEFAULT_POOL_SIZE))
-    k_list = [int(x) for x in str(opts.get("k_list", "1,5,10")).split(",")]
-    seed = int(opts.get("seed", 0))
-    dataset = opts.get("dataset", corpus_path.stem)
-    out = _out_dir(opts)
+    dataset = args.corpus.stem if args.dataset is None else args.dataset
+    out = _out_dir(args)
 
     index = data_io.RecordIndex.from_traces(usable)
-    pools = data_io.build_pools(usable, index, dist_thresh, time_thresh, pool_size, seed)
-    accuracy = data_io.evaluate_prediction(model, usable, pools, k_list)
+    pools = data_io.build_pools(usable, index, args.dist_thresh, args.time_thresh,
+                                args.pool_size, args.seed)
+    accuracy = data_io.evaluate_prediction(model, usable, pools, args.k_list)
 
     path = out / "accuracy.csv"
     _write_csv(
         path,
         ["dataset", "K", "accuracy", "n_test", "pool_size", "seed"],
-        [(dataset, k, f"{accuracy[k]!r}", len(usable), pool_size, seed) for k in k_list],
+        [(dataset, k, f"{accuracy[k]!r}", len(usable), args.pool_size, args.seed)
+         for k in args.k_list],
     )
     report = {
-        "dataset": str(dataset),
+        "dataset": dataset,
         "n_test_traces": len(usable),
         "n_skipped_short_traces": len(test) - len(usable),
         "n_insufficient_pools": sum(p.insufficient for p in pools),
         "config": {
-            "dist_thresh": dist_thresh,
-            "time_thresh": time_thresh,
-            "pool_size": pool_size,
-            "k_list": k_list,
-            "seed": seed,
+            "dist_thresh": args.dist_thresh,
+            "time_thresh": args.time_thresh,
+            "pool_size": args.pool_size,
+            "k_list": args.k_list,
+            "seed": args.seed,
         },
     }
     (out / "predict_report.json").write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {path}: " + ", ".join(f"acc@{k}={accuracy[k]:.4f}" for k in k_list))
+    print(f"wrote {path}: " + ", ".join(f"acc@{k}={accuracy[k]:.4f}" for k in args.k_list))
     return 0
 
 
-def cmd_synth(opts: _Options) -> int:
-    experiment = opts.get("experiment")
-    estimation = experiment in synth.ESTIMATION_GRIDS
-    ignored = synth.ESTIMATION_GRIDS[experiment][0] if estimation else "n_seeds"
-    kwargs = {}
-    for key, cast in (("p", int), ("kappa", float), ("n", int), ("n_seeds", int), ("seed", int)):
-        value = opts.get(key)
+def cmd_synth(args: argparse.Namespace) -> int:
+    estimation = args.experiment in synth.ESTIMATION_GRIDS
+    ignored = synth.ESTIMATION_GRIDS[args.experiment][0] if estimation else "n_seeds"
+    kwargs = {"seed": args.seed}
+    for key in ("p", "kappa", "n", "n_seeds"):
+        value = getattr(args, key)
         if value is not None and key == ignored:
-            print(f"note: --{key.replace('_', '-')} does not apply to {experiment}; ignored",
+            print(f"note: --{key.replace('_', '-')} does not apply to {args.experiment}; ignored",
                   file=sys.stderr)
         elif value is not None:
-            kwargs[key] = cast(value)
-    grid = opts.get("grid")
+            kwargs[key] = value
     if estimation:
-        if grid is not None:
-            kwargs["grid"] = [float(x) for x in str(grid).split(",")]
-        rows = synth.estimation_error(experiment, **kwargs)
-    elif grid is not None:
+        rows = synth.estimation_error(args.experiment, grid=args.grid, **kwargs)
+    elif args.grid is not None:
         raise ValueError("newton_convergence takes no --grid")
     else:
         rows = synth.newton_convergence(**kwargs)
-    out = _out_dir(opts)
-    path = out / f"{experiment}.csv"
+    out = _out_dir(args)
+    path = out / f"{args.experiment}.csv"
     _write_csv(path, ["x", "metric", "value"], [(x, m, f"{v!r}") for x, m, v in rows])
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            _apply_config(args.config, args.command, commands[args.command])
+            args = parser.parse_args(argv)
+        missing = [dest for dest, value in vars(args).items() if value is _REQUIRED]
+        if missing:
+            raise SystemExit(f"missing required option --{missing[0].replace('_', '-')}")
         command = {"preprocess": cmd_preprocess, "train": cmd_train, "summarize": cmd_summarize,
                    "predict": cmd_predict, "synth": cmd_synth}[args.command]
-        return command(_Options(args, _load_config(args)))
+        return command(args)
     except (OSError, ValueError, KeyError, NonFiniteLikelihoodError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

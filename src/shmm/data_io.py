@@ -317,9 +317,12 @@ def evaluate_prediction(
 ) -> dict[int, float]:
     """accuracy@K of next-record ranking over aligned (trace, pool) pairs.
 
-    score_fn defaults to hmm_core.score_next and exists so tests can
-    substitute reference scorers.
+    Every cutoff K must be >= 1.  score_fn defaults to hmm_core.score_next
+    and exists so tests can substitute reference scorers.
     """
+    for k in k_list:
+        if k < 1:
+            raise ValueError(f"accuracy cutoff K must be >= 1, got {k!r}")
     if len(test) != len(pools):
         raise ValueError("pools must align one-to-one with test traces")
     if len(test) == 0:
@@ -362,7 +365,7 @@ def write_corpus(traces: Sequence[Trace], path) -> None:
 
 
 def _trace_from_doc(doc) -> Trace:
-    return Trace([
+    trace = Trace([
         SemanticRecord(
             user_id=doc["user_id"],
             t_abs=float(r["t_abs"]),
@@ -373,6 +376,10 @@ def _trace_from_doc(doc) -> Trace:
         )
         for r in doc["records"]
     ])
+    lengths = sorted({len(r.embedding) for r in trace})
+    if len(lengths) > 1:
+        raise ValueError(f"records mix embedding lengths {lengths}")
+    return trace
 
 
 def read_corpus(path) -> list[Trace]:

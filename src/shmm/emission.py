@@ -39,6 +39,10 @@ SIGMA_T_FLOOR = 60.0
 #: Lower bound on location / text-Gaussian variances (squared coordinate units).
 VAR_FLOOR = 1e-6
 
+#: Total responsibility below which a state counts as dead; `m_step_state`
+#: raises EmptyStateError for it and the EM loop re-seeds the state.
+DEAD_STATE_WEIGHT = 1e-8
+
 TEXT_MODELS = ("vmf", "gaussian", "none")
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -216,12 +220,12 @@ def m_step_state(
     gamma are that state's responsibilities over the stacked records; the
     update is invariant to rescaling gamma by any positive constant.
     Degenerate spreads are clipped at the configured floors.  Raises
-    EmptyStateError when the total responsibility is below 1e-8 (the
-    caller re-seeds such states).
+    EmptyStateError when the total responsibility is below
+    DEAD_STATE_WEIGHT (the caller re-seeds such states).
     """
     gamma = np.asarray(gamma, dtype=float)
     total = float(gamma.sum())
-    if total < 1e-8:
+    if total < DEAD_STATE_WEIGHT:
         raise EmptyStateError(f"state responsibility {total:.3g} is numerically zero")
     w = gamma / total
 

@@ -42,9 +42,6 @@ from .vmf import VmfParams
 #: M-step (then renormalized); prevents log(0) on unseen transitions.
 PROB_SMOOTHING = 1e-6
 
-#: Total responsibility below which a state counts as dead and is re-seeded.
-DEAD_STATE_WEIGHT = 1e-8
-
 #: Concentration assigned to a re-seeded state's text component.
 RESEED_KAPPA = 1.0
 
@@ -270,13 +267,28 @@ def _bundle_corpus(corpus: Sequence[Trace], embedding_dim: int) -> _CorpusBundle
 
 
 def _check_trace(trace: Trace, embedding_dim: int, where: str = "") -> None:
-    """Raise for an empty trace or a foreign embedding dim; where prefixes the message."""
+    """Raise for an empty trace or a record of a foreign dim; where prefixes the message.
+
+    Reads each record's length: nothing is stacked.
+    """
     if len(trace) == 0:
         raise ValueError(f"{where}trace is empty")
-    if trace.embeddings.shape[1] != embedding_dim:
-        raise DimensionMismatchError(
-            f"{where}trace embedding dim {trace.embeddings.shape[1]} != model {embedding_dim}"
-        )
+    for record in trace:
+        if len(record.embedding) != embedding_dim:
+            raise DimensionMismatchError(
+                f"{where}trace embedding dim {len(record.embedding)} != model {embedding_dim}"
+            )
+
+
+def check_embedding_dims(corpus: Sequence[Trace], embedding_dim: int) -> None:
+    """Raise DimensionMismatchError for the first trace holding a record of another dim.
+
+    The message names the trace by position, as in `trace 7: trace
+    embedding dim 5 != model 4`.  Empty traces pass.
+    """
+    for i, trace in enumerate(corpus):
+        if len(trace):
+            _check_trace(trace, embedding_dim, f"trace {i}: ")
 
 
 def _log_probs(model: ShmmModel):
@@ -389,11 +401,14 @@ def _kmeans_locations(locs: np.ndarray, k: int, seed: int, n_iter: int) -> np.nd
                     steal = candidates[np.argmax(own[candidates])]
                     new_labels[steal] = j
                     own[steal] = 0.0
-        if np.array_equal(new_labels, labels):
-            labels = new_labels
-            break
+        changed = int(np.count_nonzero(new_labels != labels))
         labels = new_labels
+        if changed == 0:
+            break
         centers = _cluster_means(locs, labels, k)
+    else:
+        logger.info("k-means stopped unconverged at its cap of %d iterations; "
+                    "%d labels changed in the last one", n_iter, changed)
     return labels
 
 
@@ -552,7 +567,7 @@ def score_next(model: ShmmModel, prefix: Trace, candidates: Sequence, k_top: int
     if len(candidates) == 0:
         raise ValueError("candidates must be non-empty")
     _check_trace(prefix, model.embedding_dim)
-    if candidates[0].embedding.shape[0] != model.embedding_dim:
+    if any(len(c.embedding) != model.embedding_dim for c in candidates):
         raise DimensionMismatchError("candidate embedding dimension does not match model")
     log_pi, log_a = _log_probs(model)
     n = len(prefix)

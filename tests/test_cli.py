@@ -200,6 +200,22 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {corpus_path}:3: missing field 't_day'\n"
 
+    def test_mixed_embedding_lengths_are_located(self, tmp_path, capsys):
+        corpus = sample_corpus(planted_model(2, 4, seed=5), 3, 3, seed=6)
+        corpus_path = tmp_path / "corpus.ndjson"
+        data_io.write_corpus(corpus, corpus_path)
+        lines = corpus_path.read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc["records"][2]["embedding"] = [1.0, 0.0, 0.0, 0.0, 0.0]
+        lines[1] = json.dumps(doc)
+        corpus_path.write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--corpus", str(corpus_path), "--k", "2",
+                   "--output-dir", str(tmp_path / "train")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {corpus_path}:2: records mix embedding lengths [4, 5]\n"
+        )
+
     def test_preset_flag(self, tmp_path, raw_file, vectors_file):
         corpus = self._preprocess(tmp_path, raw_file, vectors_file)
         out = tmp_path / "hmm"
@@ -326,6 +342,7 @@ class TestPredict:
         ("--dist-thresh", "nan", "dist_thresh"),
         ("--pool-size", "0", "pool_size"),
         ("--pool-size", "1", "pool_size"),
+        ("--k-list", "1,0", "accuracy cutoff K"),
     ])
     def test_bad_pool_parameter_fails_cleanly(self, tmp_path, capsys, flag, value, name):
         model_true = planted_model(3, 6, seed=3, loc_cov=np.diag([1e-5, 1e-5]))
@@ -343,6 +360,25 @@ class TestPredict:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {name} must be")
         assert not (out / "accuracy.csv").exists()
+
+    def test_foreign_embedding_dim_names_the_trace(self, tmp_path, capsys):
+        model_true = planted_model(3, 4, seed=3, loc_cov=np.diag([1e-5, 1e-5]))
+        corpus = sample_corpus(model_true, 12, 4, seed=4)
+        corpus[7] = sample_corpus(planted_model(3, 5, seed=3), 1, 4, seed=5)[0]
+        corpus_path = tmp_path / "test.ndjson"
+        data_io.write_corpus(corpus, corpus_path)
+        from shmm.hmm_core import save_model
+
+        model_path = tmp_path / "model.json"
+        save_model(model_true, model_path)
+        out = tmp_path / "pred"
+        rc = main([
+            "predict", "--model", str(model_path), "--corpus", str(corpus_path),
+            "--pool-size", "3", "--output-dir", str(out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: trace 7: trace embedding dim 5 != model 4\n"
+        assert not out.exists()
 
     def test_malformed_model_fails_cleanly(self, tmp_path, capsys):
         model_true = planted_model(3, 6, seed=3)
@@ -449,6 +485,8 @@ class TestConfig:
         (["train", "--corpus", "corpus.ndjson", "--k", "2"], "max_iter"),
         (["synth", "estimation_vs_p"], "experiment"),
         (["predict"], "k"),
+        (["preprocess"], "seed"),
+        (["summarize"], "seed"),
     ])
     def test_unknown_key_fails(self, tmp_path, capsys, command, key):
         config = tmp_path / "config.json"
@@ -460,3 +498,99 @@ class TestConfig:
             f"error: config key {key!r} is not an option of {command[0]!r}\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value, kind", [
+        *[(command, key, value, "int")
+          for command, key in [(["preprocess"], "min_len"), (["train"], "k"),
+                               (["train"], "max_iters"), (["train"], "seed"),
+                               (["summarize"], "k_keywords"), (["predict"], "pool_size"),
+                               (["synth", "newton_convergence"], "n"),
+                               (["synth", "estimation_vs_p"], "n_seeds")]
+          for value in (2.7, True, [1])],
+        (["train"], "rel_tol", "abc", "float"),
+        (["predict"], "dist_thresh", "abc", "float"),
+        (["synth", "newton_convergence"], "kappa", [20.0], "float"),
+        (["predict"], "k_list", [1, 5], "comma_list"),
+        (["predict"], "k_list", "1,x", "comma_list"),
+        (["synth", "estimation_vs_n"], "grid", [100, 1000], "comma_list"),
+    ])
+    def test_value_is_read_by_the_flag_type(self, tmp_path, capsys, command, key, value, kind):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        rc = main(["--config", str(config), *command, "--output-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: config key {key!r}: invalid {kind} value {json.dumps(value)}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_config_matches_flags(self, tmp_path, command):
+        model_true = planted_model(3, 6, seed=3, loc_cov=np.diag([1e-5, 1e-5]))
+        corpus_path = tmp_path / "corpus.ndjson"
+        data_io.write_corpus(sample_corpus(model_true, 40, 5, seed=4), corpus_path)
+        from shmm.hmm_core import save_model
+
+        model_path = tmp_path / "model.json"
+        save_model(model_true, model_path)
+        if command == "train":
+            options = {"corpus": str(corpus_path), "k": 3, "preset": "ghmm", "rel_tol": 1e-8,
+                       "max_iters": 4, "seed": 3, "sigma_t_floor": 30.0, "var_floor": 1e-5}
+            files = ["model.json"]
+        else:
+            options = {"model": str(model_path), "corpus": str(corpus_path), "dataset": "demo",
+                       "dist_thresh": 5000, "time_thresh": 600.0, "pool_size": 5,
+                       "k_list": "1,3", "seed": 11}
+            files = ["accuracy.csv", "predict_report.json"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(options))
+        flags = [text for key, value in options.items()
+                 for text in (f"--{key.replace('_', '-')}", str(value))]
+        by_config, by_flags = tmp_path / "config", tmp_path / "flags"
+        assert main(["--config", str(config), command, "--output-dir", str(by_config)]) == 0
+        assert main([command, *flags, "--output-dir", str(by_flags)]) == 0
+        for name in files:
+            assert (by_config / name).read_bytes() == (by_flags / name).read_bytes()
+        if command == "train":
+            logliks = [[row[1] for row in read_csv(out / "likelihood.csv")]
+                       for out in (by_config, by_flags)]
+            assert logliks[0] == logliks[1]
+
+    def test_flag_beats_config_beats_default(self, tmp_path):
+        model_true = planted_model(3, 6, seed=3, loc_cov=np.diag([1e-5, 1e-5]))
+        corpus_path = tmp_path / "test.ndjson"
+        data_io.write_corpus(sample_corpus(model_true, 30, 4, seed=4), corpus_path)
+        from shmm.hmm_core import save_model
+
+        model_path = tmp_path / "model.json"
+        save_model(model_true, model_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"corpus": str(corpus_path), "pool_size": 5, "seed": 3,
+                                      "time_thresh": 600, "dist_thresh": None}))
+        out = tmp_path / "pred"
+        assert main(["--config", str(config), "predict", "--model", str(model_path),
+                     "--seed", "11", "--output-dir", str(out)]) == 0
+        report = json.loads((out / "predict_report.json").read_text())
+        assert report["dataset"] == "test"
+        assert report["config"] == {"dist_thresh": 3500.0, "time_thresh": 600.0,
+                                    "pool_size": 5, "k_list": [1, 5, 10], "seed": 11}
+
+    @pytest.mark.parametrize("command", ["preprocess", "summarize"])
+    def test_seed_flag_is_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, config, flag", [
+        (["train", "--k", "2"], {}, "--corpus"),
+        (["train", "--corpus", "corpus.ndjson"], {"k": None}, "--k"),
+        (["preprocess", "--embeddings", "vectors.txt"], {}, "--input"),
+        (["predict", "--model", "model.json"], {"seed": 2}, "--corpus"),
+    ])
+    def test_missing_required_option(self, tmp_path, argv, config, flag):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit, match=f"^missing required option {flag}$"):
+            main(["--config", str(path), *argv])

@@ -425,6 +425,12 @@ class TestEvaluatePrediction:
             )
         return tests, pools
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cutoff_below_one_rejected(self, k):
+        tests, pools = self._setup(3)
+        with pytest.raises(ValueError, match=f"^accuracy cutoff K must be >= 1, got {k}$"):
+            evaluate_prediction(None, tests, pools, [1, k])
+
     def test_k_equal_pool_size_is_always_one(self):
         tests, pools = self._setup(50)
         rng = np.random.default_rng(1)

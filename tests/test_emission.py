@@ -311,6 +311,17 @@ class TestMStep:
         with pytest.raises(EmptyStateError):
             m_step_state(times, locs, embeds, np.zeros(10), EmissionConfig.shmm())
 
+    def test_dead_state_threshold(self):
+        from shmm.emission import DEAD_STATE_WEIGHT
+
+        times, locs, embeds, _ = self._data(n=10, seed=3)
+        gamma = np.zeros(10)
+        gamma[4] = DEAD_STATE_WEIGHT
+        m_step_state(times, locs, embeds, gamma, EmissionConfig.hmm())
+        gamma[4] = 0.99 * DEAD_STATE_WEIGHT
+        with pytest.raises(EmptyStateError):
+            m_step_state(times, locs, embeds, gamma, EmissionConfig.hmm())
+
     @pytest.mark.parametrize("config", [EmissionConfig.shmm(), EmissionConfig.ghmm()])
     def test_m_step_is_a_local_maximum(self, config):
         times, locs, embeds, gamma = self._data(n=300, p=4, seed=4)

@@ -5,6 +5,7 @@ implementation kept in `_kmeans_reference`: same distances, same argmin
 ties, same empty-cluster repair and bitwise the same centroids.
 """
 
+import logging
 import math
 
 import numpy as np
@@ -92,6 +93,21 @@ def test_single_cluster():
 @pytest.mark.parametrize("n_iter", [1, 2, 5])
 def test_few_iterations(n_iter):
     assert_same_labels(_uniform_locs(7)[:2000], 30, n_iter=n_iter)
+
+
+def test_stop_at_the_cap_is_logged(caplog):
+    locs = _uniform_locs(7)[:2000]
+    with caplog.at_level(logging.INFO, logger="shmm.hmm_core"):
+        labels = assert_same_labels(locs, 30, n_iter=1)
+    # the first iteration changes every label that is not the initial 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "k-means stopped unconverged at its cap of 1 iterations; "
+        f"{np.count_nonzero(labels)} labels changed in the last one"
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="shmm.hmm_core"):
+        assert_same_labels(locs, 30, n_iter=1000)
+    assert not caplog.records
 
 
 @pytest.mark.parametrize("seed", range(3))
