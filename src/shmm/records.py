@@ -40,7 +40,7 @@ class SemanticRecord:
         if self.loc.shape != (2,) or not np.all(np.isfinite(self.loc)):
             raise ValueError("loc must be a finite 2-vector")
         norm = float(np.linalg.norm(self.embedding))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"embedding must be unit norm, got ||e|| = {norm!r}")
 
 

@@ -21,9 +21,11 @@ the closed-form initializer
 and iterates kappa <- kappa - (A_p(kappa) - r_bar) / A_p'(kappa).  The
 initializer can land on either side of the root; from above, the first
 step crosses to the left of the root (A_p is concave) and the iterates
-then increase monotonically.  If an iterate ever turns non-positive or
-the residual grows, the solver falls back to a bracketed bisection-Newton
-hybrid, so convergence is unconditional in practice.
+then increase monotonically.  Each evaluation of A_p also narrows a
+bracket around the root, and a step that would leave the bracket is
+replaced by bisection (or by doubling while there is no upper end yet),
+so convergence is unconditional in practice.  Targets at or beyond
+A_p(KAPPA_MAX), computed once per dimension, cap kappa at KAPPA_MAX.
 """
 
 from __future__ import annotations
@@ -45,15 +47,12 @@ logger = logging.getLogger(__name__)
 #: all dimensions used here and the density is numerically degenerate.
 KAPPA_MAX = 1e6
 
-#: Mean resultant lengths at or above this are treated as fully degenerate.
-_R_BAR_DEGENERATE = 1.0 - 1e-12
-
 #: Mean resultant lengths below this are treated as uniform (kappa = 0).
 _R_BAR_UNIFORM = 1e-10
 
 
 class NoConvergenceError(RuntimeError):
-    """Newton/bisection failed to reach tolerance; indicates a bug."""
+    """The concentration solve spent its iteration budget without reaching tol."""
 
 
 class EmptyInputError(ValueError):
@@ -91,7 +90,7 @@ class VmfParams:
         if self.p < 2:
             raise ValueError(f"dimension p must be >= 2, got {self.p}")
         norm = float(np.linalg.norm(mu))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"mu must be unit norm, got ||mu|| = {norm!r}")
         if not math.isfinite(self.kappa) or not 0.0 <= self.kappa <= KAPPA_MAX:
             raise ValueError(f"kappa must lie in [0, {KAPPA_MAX:g}], got {self.kappa!r}")
@@ -116,6 +115,8 @@ class ResultantStats:
         if not math.isfinite(self.weight) or self.weight <= 0.0:
             raise ValueError(f"weight must be positive, got {self.weight!r}")
         norm = float(np.linalg.norm(resultant))
+        if not math.isfinite(norm):
+            raise ValueError(f"resultant must be finite, got ||resultant|| = {norm!r}")
         if norm > self.weight * (1.0 + 1e-9):
             raise ValueError("||resultant|| exceeds total weight")
         r_bar = min(norm / self.weight, 1.0)
@@ -159,7 +160,15 @@ def solve_concentration(
     ratio_fn: Callable = None,
     kappa0=None,
 ) -> NewtonTrace:
-    """Solve A_p(kappa) = r_bar by safeguarded Newton iteration.
+    """Solve A_p(kappa) = r_bar by Newton iteration inside a bracket.
+
+    Every pass evaluates A_p at kappa and tightens the bracket (lo, hi),
+    which starts at (0, inf), from the sign of A_p(kappa) - r_bar.  A
+    Newton step that leaves the bracket (non-positive, NaN or past hi) is
+    replaced by bisection, or by doubling kappa while hi is still inf, and
+    the trace records used_fallback.  The solve ends once the residual is
+    within tol (after one polishing step) or when a step no longer moves
+    kappa.
 
     Arithmetic is generic: r_bar (and the values returned by ratio_fn) may
     be floats or any type supporting float-like operations, so the same
@@ -188,91 +197,58 @@ def solve_concentration(
     if ratio_fn is None:
         ratio_fn = bessel_ratio_a
     kappa = banerjee_init(r_bar, p) if kappa0 is None else kappa0
-    a = ratio_fn(p, kappa)
-    res = abs(a - r_bar)
-    trace = NewtonTrace(kappas=[kappa], residuals=[res])
-    logger.debug("kappa solve init: p=%d kappa=%s residual=%s", p, kappa, res)
-    for _ in range(max_iter):
+    lo, hi = 0.0, math.inf
+    trace = NewtonTrace(kappas=[], residuals=[])
+    for _ in range(max_iter + 1):
+        a = ratio_fn(p, kappa)
+        res = abs(a - r_bar)
+        trace.kappas.append(kappa)
+        trace.residuals.append(res)
+        logger.debug("kappa solve step %d: kappa=%s residual=%s",
+                     trace.iterations, kappa, res)
+        a_prime = _a_prime(p, kappa, a)
+        step = kappa - (a - r_bar) / a_prime if a_prime > 0.0 else math.nan
         if res <= tol:
             # One polishing step: the residual criterion alone can leave
             # kappa ~ tol/A_p' short of the root where A_p is flat (large
             # p and kappa); a final first-order step closes that gap down
             # to evaluation noise.
-            a_prime = _a_prime(p, kappa, a)
-            kappa_polish = kappa - (a - r_bar) / a_prime
-            if kappa_polish > 0.0 and math.isfinite(float(kappa_polish)) \
-                    and kappa_polish != kappa:
-                a_polish = ratio_fn(p, kappa_polish)
-                trace.kappas.append(kappa_polish)
-                trace.residuals.append(abs(a_polish - r_bar))
-            return trace
-        a_prime = _a_prime(p, kappa, a)
-        kappa_next = kappa - (a - r_bar) / a_prime
-        if kappa_next <= 0.0:
-            return _bisection_newton(r_bar, p, kappa, tol, max_iter, ratio_fn, trace)
-        a_next = ratio_fn(p, kappa_next)
-        res_next = abs(a_next - r_bar)
-        if res_next >= res:
-            return _bisection_newton(r_bar, p, kappa, tol, max_iter, ratio_fn, trace)
-        kappa, a, res = kappa_next, a_next, res_next
-        trace.kappas.append(kappa)
-        trace.residuals.append(res)
-        logger.debug("kappa solve step %d: kappa=%s residual=%s",
-                     trace.iterations, kappa, res)
-    raise NoConvergenceError(
-        f"concentration solve did not reach tol={tol} in {max_iter} iterations "
-        f"(p={p}, r_bar={r_bar}); this should not happen"
-    )
-
-
-def _bisection_newton(r_bar, p, kappa_start, tol, max_iter, ratio_fn, trace):
-    """Bracketed bisection-Newton fallback (engages only on safeguard trips)."""
-    trace.used_fallback = True
-    lo = hi = max(float(kappa_start), 1e-8)
-    if ratio_fn(p, hi) < r_bar:
-        while ratio_fn(p, hi) < r_bar:
-            hi *= 2.0
-            if hi > 1e13:
-                raise NoConvergenceError("bracket expansion ran away; r_bar too close to 1")
-        lo = hi / 2.0
-    else:
-        while ratio_fn(p, lo) > r_bar:
-            lo /= 2.0
-            if lo < 1e-300:
-                raise NoConvergenceError("bracket expansion ran away; r_bar too close to 0")
-        hi = lo * 2.0
-    kappa = 0.5 * (lo + hi)
-    for _ in range(max_iter + 200):
-        a = ratio_fn(p, kappa)
-        res = abs(a - r_bar)
-        trace.kappas.append(kappa)
-        trace.residuals.append(res)
-        if res <= tol:
+            if step > 0.0 and math.isfinite(float(step)) and step != kappa:
+                trace.kappas.append(step)
+                trace.residuals.append(abs(ratio_fn(p, step) - r_bar))
             return trace
         if a < r_bar:
             lo = kappa
         else:
             hi = kappa
-        a_prime = _a_prime(p, kappa, a)
-        kappa_next = kappa - (a - r_bar) / a_prime
-        if not lo < kappa_next < hi:
-            kappa_next = 0.5 * (lo + hi)
-        if kappa_next == kappa:
-            # bracket exhausted at machine resolution
+        if not lo < step < hi:
+            if not trace.used_fallback:
+                logger.info("kappa solve left its bracket; bisecting "
+                            "(p=%d, r_bar=%s, start kappa=%s)", p, r_bar, trace.kappas[0])
+            trace.used_fallback = True
+            step = 2.0 * kappa if hi == math.inf else 0.5 * (lo + hi)
+        if step == kappa:
             return trace
-        kappa = kappa_next
+        kappa = step
     raise NoConvergenceError(
-        f"bisection-Newton fallback did not converge (p={p}, r_bar={r_bar})"
+        f"concentration solve did not reach tol={tol} in {max_iter} iterations "
+        f"(p={p}, r_bar={r_bar})"
     )
 
 
-def estimate_kappa(stats: ResultantStats, tol: float = 1e-13, max_iter: int = 50) -> KappaEstimate:
+@lru_cache(maxsize=None)
+def _ratio_at_cap(p: int) -> float:
+    """A_p(KAPPA_MAX): the largest r_bar the solve is asked to invert."""
+    return bessel_ratio_a(p, KAPPA_MAX)
+
+
+def estimate_kappa(stats: ResultantStats) -> KappaEstimate:
     """Maximum-likelihood concentration for the given resultant statistics.
 
     The returned kappa is the unique root of A_p(kappa) = r_bar, except at
-    the degenerate edges: r_bar >= 1 - 1e-12 (or beyond A_p(KAPPA_MAX))
-    caps kappa at KAPPA_MAX with a DegenerateResultantWarning, and
-    r_bar < 1e-10 returns kappa = 0 with a NearUniformWarning.
+    the degenerate edges: r_bar >= A_p(KAPPA_MAX) (computed once per
+    dimension) caps kappa at KAPPA_MAX with a DegenerateResultantWarning,
+    and r_bar < 1e-10 returns kappa = 0 with a NearUniformWarning.
     """
     p = int(stats.resultant.shape[0])
     r_bar = stats.r_bar
@@ -283,14 +259,15 @@ def estimate_kappa(stats: ResultantStats, tol: float = 1e-13, max_iter: int = 50
             stacklevel=2,
         )
         return KappaEstimate(0.0, 0, r_bar)
-    if r_bar >= _R_BAR_DEGENERATE or r_bar >= bessel_ratio_a(p, KAPPA_MAX):
+    r_cap = _ratio_at_cap(p)
+    if r_bar >= r_cap:
         warnings.warn(
             f"r_bar={r_bar:.12g} requires kappa beyond {KAPPA_MAX:g}; capping",
             DegenerateResultantWarning,
             stacklevel=2,
         )
-        return KappaEstimate(KAPPA_MAX, 0, abs(bessel_ratio_a(p, KAPPA_MAX) - r_bar))
-    trace = solve_concentration(r_bar, p, tol=tol, max_iter=max_iter)
+        return KappaEstimate(KAPPA_MAX, 0, abs(r_cap - r_bar))
+    trace = solve_concentration(r_bar, p)
     return KappaEstimate(float(trace.kappas[-1]), trace.iterations, float(trace.residuals[-1]))
 
 
@@ -315,7 +292,7 @@ def vmf_log_pdf(params: VmfParams, m: np.ndarray) -> float:
     """Log density of the unit vector m under vMF(mu, kappa)."""
     m = np.asarray(m, dtype=float)
     norm = float(np.linalg.norm(m))
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"m must be unit norm, got ||m|| = {norm!r}")
     log_c = vmf_log_norm_const(params.p, float(params.kappa))
     if params.kappa == 0.0:
@@ -348,9 +325,9 @@ def fit_vmf(vectors: np.ndarray, weights: Sequence[float] | None = None) -> VmfP
     if total <= 0.0:
         raise EmptyInputError("total weight must be positive")
     norms = np.linalg.norm(vectors, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
+    if not np.all(np.abs(norms - 1.0) <= 1e-9):
         bad = int(np.argmax(np.abs(norms - 1.0)))
-        raise ValueError(f"vector {bad} is not unit norm (||m|| = {norms[bad]!r})")
+        raise ValueError(f"vector {bad} is not unit norm (||m|| = {float(norms[bad])!r})")
 
     resultant = weights @ vectors
     r_norm = float(np.linalg.norm(resultant))

@@ -200,6 +200,22 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {corpus_path}:3: missing field 't_day'\n"
 
+    def test_nan_embedding_is_located(self, tmp_path, capsys):
+        corpus = sample_corpus(planted_model(2, 4, seed=5), 5, 3, seed=6)
+        corpus_path = tmp_path / "corpus.ndjson"
+        data_io.write_corpus(corpus, corpus_path)
+        lines = corpus_path.read_text().splitlines()
+        doc = json.loads(lines[3])
+        doc["records"][0]["embedding"] = [float("nan"), 0.0, 0.0, 0.0]
+        lines[3] = json.dumps(doc)
+        corpus_path.write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--corpus", str(corpus_path), "--k", "2",
+                   "--output-dir", str(tmp_path / "train")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {corpus_path}:4: embedding must be unit norm, got ||e|| = nan\n"
+        )
+
     def test_mixed_embedding_lengths_are_located(self, tmp_path, capsys):
         corpus = sample_corpus(planted_model(2, 4, seed=5), 3, 3, seed=6)
         corpus_path = tmp_path / "corpus.ndjson"

@@ -524,6 +524,18 @@ class TestTimestampsAndPersistence:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: .*{message}"):
             read_corpus(path)
 
+    def test_nan_embedding_is_located(self, tmp_path):
+        path = tmp_path / "corpus.ndjson"
+        write_corpus([Trace([make_record(0.0), make_record(50.0)])] * 5, path)
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[3])
+        doc["records"][1]["embedding"] = [math.nan, 0.0, 0.0]
+        lines[3] = json.dumps(doc)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_corpus(path)
+        assert str(info.value) == f"{path}:4: embedding must be unit norm, got ||e|| = nan"
+
     def test_invalid_json_is_located(self, tmp_path):
         path = tmp_path / "corpus.ndjson"
         write_corpus([Trace([make_record(0.0), make_record(50.0)])] * 2, path)

@@ -1,5 +1,6 @@
 """Tests for the vMF density, concentration estimation and sampler."""
 
+import logging
 import math
 
 import mpmath as mp
@@ -7,12 +8,15 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from shmm.special_fns import bessel_ratio_a
+import _kappa_reference
+from shmm import vmf
+from shmm.special_fns import _a_prime, bessel_ratio_a
 from shmm.vmf import (
     KAPPA_MAX,
     DegenerateResultantWarning,
     EmptyInputError,
     NearUniformWarning,
+    NoConvergenceError,
     ResultantStats,
     VmfParams,
     ZeroResultantWarning,
@@ -73,6 +77,11 @@ class TestLogPdf:
         params = VmfParams(mu=np.array([1.0, 0.0]), kappa=2.0, p=2)
         with pytest.raises(ValueError):
             vmf_log_pdf(params, np.array([1.0, 1.0]))
+
+    def test_rejects_nan_m(self):
+        params = VmfParams(mu=np.array([1.0, 0.0, 0.0]), kappa=2.0, p=3)
+        with pytest.raises(ValueError, match=r"m must be unit norm, got \|\|m\|\| = nan"):
+            vmf_log_pdf(params, np.array([math.nan, 0.0, 0.0]))
 
     def test_maximized_at_mean_direction(self):
         rng = np.random.default_rng(3)
@@ -202,6 +211,93 @@ class TestEstimateKappa:
             ResultantStats(resultant=np.array([2.0, 0.0]), weight=1.0)
         with pytest.raises(ValueError):
             ResultantStats(resultant=np.array([0.5, 0.0]), weight=0.0)
+        with pytest.raises(ValueError, match="resultant must be finite"):
+            ResultantStats(resultant=np.array([math.nan, 0.0]), weight=1.0)
+
+
+def _ratio_mp(p, kappa):
+    return mp.besseli(mp.mpf(p) / 2, kappa) / mp.besseli(mp.mpf(p) / 2 - 1, kappa)
+
+
+def _r_bar_grid(p):
+    """r_bar from 1e-9 up to the last double below A_p(KAPPA_MAX)."""
+    cap = bessel_ratio_a(p, KAPPA_MAX)
+    grid = [1e-9, 1e-6, 1e-3, 0.05, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.99]
+    grid += [1.0 - 10.0 ** -k for k in range(3, 8)]
+    grid += [cap - 1e-9, float(np.nextafter(cap, 0.0))]
+    return [r for r in grid if r < cap]
+
+
+class TestSolverMatchesReference:
+    """From the Banerjee start the bracketed loop retraces the two-solver code."""
+
+    P_GRID = (2, 3, 5, 10, 30, 100, 200, 400)
+
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_same_iterates_in_double_precision(self, p):
+        for r_bar in _r_bar_grid(p):
+            new = solve_concentration(r_bar, p)
+            old = _kappa_reference.solve_concentration(r_bar, p)
+            assert new.kappas == old.kappas, f"r_bar={r_bar!r}"
+            assert new.residuals == old.residuals, f"r_bar={r_bar!r}"
+            assert not new.used_fallback and not old.used_fallback
+
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_same_iterates_under_mpmath(self, p):
+        with mp.workdps(30):
+            for r_bar in _r_bar_grid(p):
+                new = solve_concentration(r_bar, p, ratio_fn=_ratio_mp)
+                old = _kappa_reference.solve_concentration(r_bar, p, ratio_fn=_ratio_mp)
+                assert new.kappas == old.kappas, f"r_bar={r_bar!r}"
+                assert new.residuals == old.residuals, f"r_bar={r_bar!r}"
+
+
+class TestBracketSafeguard:
+    @pytest.mark.parametrize("p,kappa_true", [(2, 1.0), (3, 5.0), (10, 10.0), (100, 100.0),
+                                              (200, 1000.0)])
+    def test_start_far_above_root_bisects_to_it(self, p, kappa_true):
+        r_bar = bessel_ratio_a(p, kappa_true)
+        kappa0 = 5.0 * kappa_true
+        a0 = bessel_ratio_a(p, kappa0)
+        assert kappa0 - (a0 - r_bar) / _a_prime(p, kappa0, a0) <= 0.0
+        trace = solve_concentration(r_bar, p, kappa0=kappa0)
+        assert trace.used_fallback
+        oracle = bisect_kappa(p, r_bar)
+        assert abs(trace.kappas[-1] - oracle) < 1e-10 * max(1.0, kappa_true)
+
+    def test_unreachable_target_raises_naming_the_problem(self):
+        # the root (~5e10) lies where A_2' is lost to cancellation, so every
+        # step is a bisection or a doubling and the budget runs out
+        with pytest.raises(NoConvergenceError, match=r"p=2, r_bar=0\.99999999999\b"):
+            solve_concentration(1.0 - 1e-11, 2)
+
+    def test_engaging_the_safeguard_is_logged_once(self, caplog):
+        r_bar = bessel_ratio_a(10, 10.0)
+        with caplog.at_level(logging.INFO, logger="shmm.vmf"):
+            solve_concentration(r_bar, 10, kappa0=50.0)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"kappa solve left its bracket; bisecting (p=10, r_bar={r_bar}, start kappa=50.0)"
+        ]
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="shmm.vmf"):
+            assert not solve_concentration(r_bar, 10).used_fallback
+        assert not caplog.records
+
+    def test_cap_ratio_is_computed_once_per_dimension(self):
+        vmf._ratio_at_cap.cache_clear()
+        for r in (0.3, 0.6, 0.9):
+            estimate_kappa(ResultantStats(resultant=np.array([r, 0.0, 0.0, 0.0]), weight=1.0))
+        assert vmf._ratio_at_cap.cache_info().misses == 1
+
+    def test_capped_residual_uses_the_cap_ratio(self):
+        cap = bessel_ratio_a(4, KAPPA_MAX)
+        stats = ResultantStats(resultant=np.array([cap, 0.0, 0.0, 0.0]), weight=1.0)
+        with pytest.warns(DegenerateResultantWarning):
+            est = estimate_kappa(stats)
+        assert est == (KAPPA_MAX, 0, abs(cap - stats.r_bar))
+        below = float(np.nextafter(cap, 0.0))
+        stats = ResultantStats(resultant=np.array([below, 0.0, 0.0, 0.0]), weight=1.0)
+        assert estimate_kappa(stats).kappa <= KAPPA_MAX
 
 
 class TestFitVmf:
@@ -246,6 +342,11 @@ class TestFitVmf:
     def test_rejects_non_unit_vectors(self):
         with pytest.raises(ValueError):
             fit_vmf(np.array([[1.0, 1.0]]))
+
+    def test_rejects_nan_vectors(self):
+        vecs = np.array([[1.0, 0.0], [math.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"vector 1 is not unit norm \(\|\|m\|\| = nan\)"):
+            fit_vmf(vecs)
 
 
 class TestSampler:
@@ -308,6 +409,8 @@ class TestVmfParams:
     def test_rejects_non_unit_mu(self):
         with pytest.raises(ValueError):
             VmfParams(mu=np.array([1.0, 1.0]), kappa=1.0, p=2)
+        with pytest.raises(ValueError, match="mu must be unit norm"):
+            VmfParams(mu=np.array([math.nan, 0.0]), kappa=1.0, p=2)
 
     def test_rejects_bad_kappa(self):
         mu = np.array([1.0, 0.0])
