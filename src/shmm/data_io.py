@@ -83,12 +83,18 @@ def _read_ndjson(path, parse):
             yield value
 
 
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _raw_record(doc):
     return (
         str(doc["user_id"]),
-        parse_timestamp(doc["timestamp"]),
-        float(doc["lon"]),
-        float(doc["lat"]),
+        _finite("timestamp", parse_timestamp(doc["timestamp"])),
+        _finite("lon", float(doc["lon"])),
+        _finite("lat", float(doc["lat"])),
         str(doc.get("text", "")),
     )
 
@@ -344,7 +350,13 @@ def evaluate_prediction(
 
 
 def write_corpus(traces: Sequence[Trace], path) -> None:
-    """One trace per NDJSON line, embeddings attached."""
+    """One trace per NDJSON line, embeddings attached.
+
+    An empty trace raises ValueError naming its position, before the file is opened.
+    """
+    for i, trace in enumerate(traces):
+        if len(trace) == 0:
+            raise ValueError(f"trace {i}: trace is empty")
     with _open_text(path, "wt") as fh:
         for trace in traces:
             doc = {
@@ -365,7 +377,7 @@ def write_corpus(traces: Sequence[Trace], path) -> None:
 
 
 def _trace_from_doc(doc) -> Trace:
-    trace = Trace([
+    return Trace([
         SemanticRecord(
             user_id=doc["user_id"],
             t_abs=float(r["t_abs"]),
@@ -376,10 +388,6 @@ def _trace_from_doc(doc) -> Trace:
         )
         for r in doc["records"]
     ])
-    lengths = sorted({len(r.embedding) for r in trace})
-    if len(lengths) > 1:
-        raise ValueError(f"records mix embedding lengths {lengths}")
-    return trace
 
 
 def read_corpus(path) -> list[Trace]:

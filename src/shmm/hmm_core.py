@@ -254,34 +254,35 @@ class _CorpusBundle:
     packing: _Packing
 
 
-def _bundle_corpus(corpus: Sequence[Trace], embedding_dim: int) -> _CorpusBundle:
+def _bundle_corpus(corpus: Sequence[Trace]) -> _CorpusBundle:
+    """Flat record arrays of a corpus, stacked in one pass: the one place a fit reads traces.
+
+    The first record sets the embedding dimension; an empty trace or one of
+    another dimension raises, named by its position.
+    """
     if len(corpus) == 0:
         raise EmptyCorpusError("corpus contains no traces")
+    embedding_dim = len(corpus[0][0].embedding) if len(corpus[0]) else 0
     for i, trace in enumerate(corpus):
         _check_trace(trace, embedding_dim, f"trace {i}: ")
-    times = np.concatenate([t.times for t in corpus])
-    locs = np.concatenate([t.locs for t in corpus])
-    embeds = np.concatenate([t.embeddings for t in corpus])
-    packing = _pack([len(t) for t in corpus])
-    return _CorpusBundle(times, locs, embeds, packing)
+    times, locs, embeds = stack_records([r for trace in corpus for r in trace])
+    return _CorpusBundle(times, locs, embeds, _pack([len(t) for t in corpus]))
 
 
 def _check_trace(trace: Trace, embedding_dim: int, where: str = "") -> None:
-    """Raise for an empty trace or a record of a foreign dim; where prefixes the message.
+    """Raise for an empty trace or one of a foreign dim; where prefixes the message.
 
-    Reads each record's length: nothing is stacked.
+    Reads the first record only: a `Trace` holds one embedding length.
     """
     if len(trace) == 0:
         raise ValueError(f"{where}trace is empty")
-    for record in trace:
-        if len(record.embedding) != embedding_dim:
-            raise DimensionMismatchError(
-                f"{where}trace embedding dim {len(record.embedding)} != model {embedding_dim}"
-            )
+    dim = len(trace[0].embedding)
+    if dim != embedding_dim:
+        raise DimensionMismatchError(f"{where}trace embedding dim {dim} != model {embedding_dim}")
 
 
 def check_embedding_dims(corpus: Sequence[Trace], embedding_dim: int) -> None:
-    """Raise DimensionMismatchError for the first trace holding a record of another dim.
+    """Raise DimensionMismatchError for the first trace of another embedding dim.
 
     The message names the trace by position, as in `trace 7: trace
     embedding dim 5 != model 4`.  Empty traces pass.
@@ -424,23 +425,23 @@ def _cluster_means(locs: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return np.stack([members.mean(axis=0) for members in np.split(grouped, ends)])
 
 
-def _init_from_kmeans(corpus: Sequence[Trace], bundle: _CorpusBundle, k: int,
-                      config: EmissionConfig, init: KMeansInit) -> ShmmModel:
+def _init_from_kmeans(bundle: _CorpusBundle, k: int, config: EmissionConfig,
+                      init: KMeansInit) -> ShmmModel:
     labels = _kmeans_locations(bundle.locs, k, init.seed, init.n_iter)
     states = []
     for j in range(k):
         gamma = (labels == j).astype(float)
         states.append(m_step_state(bundle.times, bundle.locs, bundle.embeds, gamma, config))
 
-    # smoothed empirical counts of cluster labels along traces
+    # smoothed empirical counts of cluster labels along traces, added in
+    # record order: every row but a trace's first steps on from the row before
+    is_first = np.zeros(labels.size, dtype=bool)
+    is_first[bundle.packing.rows[: bundle.packing.sizes[0]]] = True
+    steps = np.flatnonzero(~is_first)
     pi_counts = np.full(k, 0.1)
     trans_counts = np.full((k, k), 0.1)
-    pos = 0
-    for trace in corpus:
-        seq = labels[pos:pos + len(trace)]
-        pos += len(trace)
-        pi_counts[seq[0]] += 1.0
-        np.add.at(trans_counts, (seq[:-1], seq[1:]), 1.0)
+    np.add.at(pi_counts, labels[is_first], 1.0)
+    np.add.at(trans_counts, (labels[steps - 1], labels[steps]), 1.0)
     pi = pi_counts / pi_counts.sum()
     trans = trans_counts / trans_counts.sum(axis=1, keepdims=True)
     return ShmmModel(
@@ -472,21 +473,23 @@ def baum_welch(
     non-decreasing up to tiny smoothing-induced slack; iteration stops at
     relative improvement < stop.rel_tol or at stop.max_iters.
     """
-    if len(corpus) == 0:
-        raise EmptyCorpusError("corpus contains no traces")
     if k < 1:
         raise ValueError("k must be >= 1")
     if stop.max_iters < 1 or stop.rel_tol < 0.0:
         raise ValueError("need max_iters >= 1 and rel_tol >= 0")
-    embedding_dim = corpus[0].embeddings.shape[-1]
-    bundle = _bundle_corpus(corpus, embedding_dim)
+    bundle = _bundle_corpus(corpus)
+    embedding_dim = bundle.embeds.shape[1]
 
     if isinstance(init, ShmmModel):
         if init.n_states != k:
             raise ValueError("explicit initial model must have n_states == k")
+        if init.embedding_dim != embedding_dim:
+            raise DimensionMismatchError(
+                f"initial model embedding dim {init.embedding_dim} != corpus {embedding_dim}"
+            )
         model = init
     else:
-        model = _init_from_kmeans(corpus, bundle, k, config, init)
+        model = _init_from_kmeans(bundle, k, config, init)
 
     history: list[EMIteration] = []
     prev_loglik = None

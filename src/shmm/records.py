@@ -6,6 +6,7 @@ for a user; a trace is a time-ordered sequence of records for one user.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -19,9 +20,9 @@ SECONDS_PER_DAY = 86_400.0
 class SemanticRecord:
     """One observation: absolute time, time-of-day, 2-D location, unit embedding.
 
-    t_day is in seconds since local midnight, [0, 86400).  loc is
-    (lon, lat) in degrees by default (a dataset config may use projected
-    meters instead).  embedding must be unit norm within 1e-9.
+    t_abs must be finite; t_day is in seconds since local midnight,
+    [0, 86400).  loc is (lon, lat) in degrees by default (a dataset config
+    may use projected meters instead).  embedding must be unit norm within 1e-9.
     raw_text is optional and only carried along for reports.
     """
 
@@ -35,6 +36,8 @@ class SemanticRecord:
     def __post_init__(self):
         self.loc = np.asarray(self.loc, dtype=float)
         self.embedding = np.asarray(self.embedding, dtype=float)
+        if not math.isfinite(self.t_abs):
+            raise ValueError(f"t_abs must be finite, got {self.t_abs!r}")
         if not 0.0 <= self.t_day < SECONDS_PER_DAY:
             raise ValueError(f"t_day must lie in [0, 86400), got {self.t_day!r}")
         if self.loc.shape != (2,) or not np.all(np.isfinite(self.loc)):
@@ -46,7 +49,7 @@ class SemanticRecord:
 
 @dataclass
 class Trace:
-    """Time-ordered records of a single user (non-decreasing t_abs)."""
+    """Time-ordered records of a single user: non-decreasing t_abs, one embedding length."""
 
     records: list = field(default_factory=list)
 
@@ -55,6 +58,9 @@ class Trace:
         for a, b in zip(self.records, self.records[1:]):
             if b.t_abs < a.t_abs:
                 raise ValueError("trace records must be ordered by t_abs")
+        lengths = {len(r.embedding) for r in self.records}
+        if len(lengths) > 1:
+            raise ValueError(f"records mix embedding lengths {sorted(lengths)}")
 
     def __len__(self) -> int:
         return len(self.records)

@@ -124,6 +124,12 @@ class TestPreprocess:
          "missing field 'timestamp'"),
         ({"user_id": "u", "timestamp": 60, "lon": "x", "lat": 0.0, "text": "coffee"},
          "could not convert string to float: 'x'"),
+        ({"user_id": "u", "timestamp": 60, "lon": "NaN", "lat": 0.0, "text": "coffee"},
+         "lon must be finite, got nan"),
+        ({"user_id": "u", "timestamp": 60, "lon": 0.0, "lat": float("-inf"), "text": "coffee"},
+         "lat must be finite, got -inf"),
+        ({"user_id": "u", "timestamp": float("nan"), "lon": 0.0, "lat": 0.0, "text": "coffee"},
+         "timestamp must be finite, got nan"),
     ])
     def test_bad_raw_record_is_located(self, tmp_path, vectors_file, capsys, bad, message):
         raw = tmp_path / "raw.ndjson"

@@ -536,6 +536,25 @@ class TestTimestampsAndPersistence:
             read_corpus(path)
         assert str(info.value) == f"{path}:4: embedding must be unit norm, got ||e|| = nan"
 
+    def test_nan_t_abs_is_located(self, tmp_path):
+        path = tmp_path / "corpus.ndjson"
+        write_corpus([Trace([make_record(0.0), make_record(10.0), make_record(20.0)])] * 2, path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace('"t_abs": 10.0', '"t_abs": NaN')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_corpus(path)
+        assert str(info.value) == f"{path}:2: t_abs must be finite, got nan"
+
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_writing_an_empty_trace_names_it(self, tmp_path, position):
+        traces = [Trace([make_record(0.0), make_record(50.0)]) for _ in range(3)]
+        traces[position] = Trace([])
+        path = tmp_path / "corpus.ndjson"
+        with pytest.raises(ValueError, match=f"^trace {position}: trace is empty$"):
+            write_corpus(traces, path)
+        assert not path.exists()
+
     def test_invalid_json_is_located(self, tmp_path):
         path = tmp_path / "corpus.ndjson"
         write_corpus([Trace([make_record(0.0), make_record(50.0)])] * 2, path)

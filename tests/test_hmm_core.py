@@ -337,6 +337,77 @@ class TestBaumWelch:
         with pytest.raises(ValueError, match=f"^trace {position}: trace is empty$"):
             baum_welch(corpus, 2, EmissionConfig.shmm())
 
+    def test_initial_model_of_another_dim_fails_before_the_e_step(self, monkeypatch):
+        from shmm import hmm_core
+        from shmm.hmm_core import DimensionMismatchError
+
+        def no_e_step(*args, **kwargs):
+            raise AssertionError("the E-step ran")
+
+        monkeypatch.setattr(hmm_core, "log_emission_matrix", no_e_step)
+        rng = np.random.default_rng(32)
+        corpus = [random_trace(3, 4, rng) for _ in range(3)]
+        with pytest.raises(DimensionMismatchError,
+                           match="^initial model embedding dim 5 != corpus 4$"):
+            baum_welch(corpus, 2, EmissionConfig.shmm(), init=random_model(2, 5, rng))
+
+
+#: Trace lengths of the corpora the bundle and the k-means counts are checked on.
+BUNDLE_CASES = {
+    "mixed-lengths": [5, 1, 3, 3, 7, 2],
+    "one-trace": [6],
+    "length-1-traces": [1, 1, 1, 1],
+    "length-1-among-long": [1, 4, 1, 4, 1],
+}
+
+
+def _bundle_case(name):
+    rng = np.random.default_rng(sorted(BUNDLE_CASES).index(name))
+    return [random_trace(r, 3, rng) for r in BUNDLE_CASES[name]]
+
+
+class TestCorpusBundle:
+    @pytest.mark.parametrize("name", sorted(BUNDLE_CASES))
+    def test_arrays_equal_the_per_trace_concatenation(self, name):
+        from shmm.hmm_core import _bundle_corpus
+
+        corpus = _bundle_case(name)
+        bundle = _bundle_corpus(corpus)
+        for got, column in ((bundle.times, "times"), (bundle.locs, "locs"),
+                            (bundle.embeds, "embeddings")):
+            expected = np.concatenate([getattr(t, column) for t in corpus])
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("name", sorted(BUNDLE_CASES))
+    def test_kmeans_counts_equal_the_per_trace_loop(self, name):
+        from shmm.hmm_core import _bundle_corpus, _init_from_kmeans, _kmeans_locations
+
+        corpus, k, init = _bundle_case(name), 3, KMeansInit(seed=4)
+        bundle = _bundle_corpus(corpus)
+        model = _init_from_kmeans(bundle, k, EmissionConfig.shmm(), init)
+
+        # the per-trace counting loop that the packed counts replaced
+        labels = _kmeans_locations(bundle.locs, k, init.seed, init.n_iter)
+        pi_counts = np.full(k, 0.1)
+        trans_counts = np.full((k, k), 0.1)
+        pos = 0
+        for trace in corpus:
+            seq = labels[pos:pos + len(trace)]
+            pos += len(trace)
+            pi_counts[seq[0]] += 1.0
+            np.add.at(trans_counts, (seq[:-1], seq[1:]), 1.0)
+        pi = pi_counts / pi_counts.sum()
+        trans = trans_counts / trans_counts.sum(axis=1, keepdims=True)
+        assert model.pi.tobytes() == pi.tobytes()
+        assert model.trans.tobytes() == trans.tobytes()
+
+    def test_trace_rejects_mixed_embedding_lengths(self):
+        rng = np.random.default_rng(33)
+        records = random_trace(2, 4, rng).records + random_trace(3, 5, rng).records[2:]
+        with pytest.raises(ValueError, match=r"^records mix embedding lengths \[4, 5\]$"):
+            Trace(records)
+
 
 class TestSerialization:
     def test_round_trip_preserves_likelihood(self, tmp_path):

@@ -65,7 +65,7 @@ def _log_probs(model):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_packed_e_step_matches_reference(name):
     model, corpus = _case(name)
-    bundle = hmm_core._bundle_corpus(corpus, P)
+    bundle = hmm_core._bundle_corpus(corpus)
     gamma, xi_sum, gamma0, total, log_b = hmm_core._e_step(model, bundle)
     ref_gamma, ref_xi, ref_gamma0, ref_loglik = e_step_by_length(model, corpus)
 
