@@ -14,6 +14,12 @@ contiguous slice, whatever the mix of trace lengths.  A single trace (as
 in `forward_backward` and the prefix forward behind `score_next`) is a
 packed corpus of one.  The packing and every summation order are fixed
 by the input, so identical inputs always produce identical results.
+
+Each step's (n, K, K) block of log terms is built in one scratch block,
+allocated once per pass and sized for the first step, and reduced there
+in place: the recursion makes no fresh (n, K, K) temporaries.  The
+backward step exponentiates its block once and reads both the backward
+message and the step's expected transition counts from it.
 """
 
 from __future__ import annotations
@@ -150,15 +156,21 @@ class EMIteration:
 # corpus bundling and the packed forward-backward core
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+def _logsumexp(a: np.ndarray, axis: int, overwrite_a: bool = False) -> np.ndarray:
     """log(sum(exp(a))) along one axis, shifted by the slice max.
 
-    An all -inf slice gives -inf; inf and NaN propagate.
+    An all -inf slice gives -inf; inf and NaN propagate.  With overwrite_a
+    the shift and exp are done in a itself, with the same results.
     """
     shift = a.max(axis=axis, keepdims=True)
     shift[~np.isfinite(shift)] = 0.0
+    if overwrite_a:
+        a -= shift
+    else:
+        a = a - shift
+    np.exp(a, out=a)
     with np.errstate(divide="ignore"):
-        out = np.log(np.exp(a - shift).sum(axis=axis))
+        out = np.log(a.sum(axis=axis))
     return out + shift.squeeze(axis)
 
 
@@ -194,16 +206,18 @@ def _pack(lengths: Sequence[int]) -> _Packing:
 
 
 def _forward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray,
-             packing: _Packing) -> np.ndarray:
-    """Log forward messages over (N, K) emission log-densities in packed order."""
+             packing: _Packing, scratch: np.ndarray) -> np.ndarray:
+    """Log forward messages over (N, K) emission log-densities in packed order.
+
+    scratch is a (sizes[0], K, K) work block; its contents are overwritten.
+    """
     sizes, bounds = packing.sizes, packing.bounds
     alpha = np.empty_like(log_b)
     alpha[: sizes[0]] = log_pi + log_b[: sizes[0]]
     for t in range(1, len(sizes)):
         lo, hi, prev = bounds[t], bounds[t + 1], bounds[t - 1]
-        alpha[lo:hi] = (
-            _logsumexp(alpha[prev:prev + hi - lo, :, None] + log_a, axis=1) + log_b[lo:hi]
-        )
+        cube = np.add(alpha[prev:prev + hi - lo, :, None], log_a, out=scratch[: hi - lo])
+        alpha[lo:hi] = _logsumexp(cube, axis=1, overwrite_a=True) + log_b[lo:hi]
     return alpha
 
 
@@ -214,10 +228,18 @@ def _forward_backward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray,
     log_b is the (N, K) emission matrix in corpus row order.  Returns
     (gamma (N, K) in corpus row order, xi_sum (K, K) summed over traces and
     slots, loglik (B,) in corpus trace order).
+
+    Both passes work in one (sizes[0], K, K) scratch block.  A backward
+    step fills it with e[i, z, z'] = log A(z, z') + log b(z') + beta(z'),
+    subtracts the row max m[i, z] (0 where the row is all -inf) and
+    exponentiates it once.  beta is log(sum over z' of e) + m, and the
+    step's xi contribution is e weighted by exp(alpha + m - loglik): that
+    weight is at most gamma <= 1, and 0 for a row with no finite term.
     """
     sizes, bounds = packing.sizes, packing.bounds
     log_b = log_b[packing.rows]
-    alpha = _forward(log_pi, log_a, log_b, packing)
+    scratch = np.empty((sizes[0],) + log_a.shape)
+    alpha = _forward(log_pi, log_a, log_b, packing, scratch)
     loglik = np.empty(sizes[0])
     loglik[packing.order] = _logsumexp(alpha[packing.last], axis=1)
     bad = np.flatnonzero(~np.isfinite(loglik))
@@ -232,10 +254,17 @@ def _forward_backward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray,
     for t in range(len(sizes) - 2, -1, -1):
         lo, nxt, n = bounds[t], bounds[t + 1], sizes[t + 1]
         forward_msg = log_b[nxt:nxt + n] + beta[nxt:nxt + n]  # (n, K)
-        to_next = log_a + forward_msg[:, None, :]  # (n, K, K)
-        xi_log = alpha[lo:lo + n, :, None] + to_next - ll_sorted[:n, None, None]
-        xi_sum += np.exp(xi_log).sum(axis=0)
-        beta[lo:lo + n] = _logsumexp(to_next, axis=2)
+        e = np.add(log_a, forward_msg[:, None, :], out=scratch[:n])  # (n, K, K)
+        shift = e.max(axis=2, keepdims=True)
+        # the unclamped max: a row with no finite term gets weight exp(-inf) = 0
+        weight = alpha[lo:lo + n, :, None] + shift - ll_sorted[:n, None, None]
+        shift[~np.isfinite(shift)] = 0.0
+        e -= shift
+        np.exp(e, out=e)
+        with np.errstate(divide="ignore"):
+            beta[lo:lo + n] = np.log(e.sum(axis=2)) + shift[:, :, 0]
+        e *= np.exp(weight)
+        xi_sum += e.sum(axis=0)
 
     slot = np.arange(len(log_b)) - np.repeat(bounds[:-1], sizes)
     gamma = np.empty_like(log_b)
@@ -416,13 +445,13 @@ def _kmeans_locations(locs: np.ndarray, k: int, seed: int, n_iter: int) -> np.nd
 def _cluster_means(locs: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Row j is `locs[labels == j].mean(axis=0)`, bit for bit.
 
-    The stable sort lays each cluster's records out in record order as one
-    contiguous slice, so each mean sums the same values in the same order
-    as the boolean mask would, without k passes over the labels.
+    A weighted `np.bincount` adds each cluster's coordinates in record
+    order, as the mean over the boolean mask does, and the sums are divided
+    by the counts, as `mean` divides them.
     """
-    grouped = locs[np.argsort(labels, kind="stable")]
-    ends = np.cumsum(np.bincount(labels, minlength=k))[:-1]
-    return np.stack([members.mean(axis=0) for members in np.split(grouped, ends)])
+    sums = np.stack([np.bincount(labels, weights=locs[:, d], minlength=k) for d in range(2)],
+                    axis=1)
+    return sums / np.bincount(labels, minlength=k)[:, None]
 
 
 def _init_from_kmeans(bundle: _CorpusBundle, k: int, config: EmissionConfig,
@@ -576,7 +605,7 @@ def score_next(model: ShmmModel, prefix: Trace, candidates: Sequence, k_top: int
     n = len(prefix)
     times, locs, embeds = stack_records(list(prefix) + list(candidates))
     log_b = log_emission_matrix(model.states, model.config, times, locs, embeds)
-    alpha = _forward(log_pi, log_a, log_b[:n], _pack([n]))[-1]
+    alpha = _forward(log_pi, log_a, log_b[:n], _pack([n]), np.empty((1,) + log_a.shape))[-1]
     if not np.isfinite(alpha.max()):
         raise NonFiniteLikelihoodError("prefix log-likelihood is not finite")
     log_pred = _logsumexp(alpha[:, None] + log_a, axis=0)

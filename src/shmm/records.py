@@ -7,7 +7,7 @@ for a user; a trace is a time-ordered sequence of records for one user.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -49,12 +49,16 @@ class SemanticRecord:
 
 @dataclass
 class Trace:
-    """Time-ordered records of a single user: non-decreasing t_abs, one embedding length."""
+    """Time-ordered records of a single user: non-decreasing t_abs, one embedding length.
 
-    records: list = field(default_factory=list)
+    records is a tuple, so a validated trace cannot grow behind its checks
+    and its cached columns.
+    """
+
+    records: tuple = ()
 
     def __post_init__(self):
-        self.records = list(self.records)
+        self.records = tuple(self.records)
         for a, b in zip(self.records, self.records[1:]):
             if b.t_abs < a.t_abs:
                 raise ValueError("trace records must be ordered by t_abs")

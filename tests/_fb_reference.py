@@ -1,15 +1,19 @@
-"""Reference forward-backward: one log-space pass per distinct trace length.
+"""Reference forward-backward recursions, kept verbatim as oracles.
 
-This is the recursion `shmm.hmm_core` ran before its packed, time-major
-pass, kept verbatim as an independent oracle for it.  It uses
-`scipy.special.logsumexp` and batches only traces of equal length.
+`fb_batch` and `e_step_by_length` are the recursion `shmm.hmm_core` ran
+before its packed, time-major pass: one log-space pass per distinct trace
+length, with `scipy.special.logsumexp`.
+
+`packed_forward` and `packed_forward_backward` are the packed pass as it was before it
+moved into one reused scratch block: fresh (n, K, K) temporaries each
+step, and two exps per backward step (one for xi, one for beta).
 """
 
 import numpy as np
 from scipy.special import logsumexp
 
 from shmm.emission import log_emission_matrix
-from shmm.hmm_core import NonFiniteLikelihoodError
+from shmm.hmm_core import NonFiniteLikelihoodError, _Packing
 
 
 def fb_batch(log_pi, log_a, log_b):
@@ -76,3 +80,65 @@ def e_step_by_length(model, corpus):
         gamma0 += gamma[:, 0, :].sum(axis=0)
         loglik[idx] = ll
     return gamma_all, xi_sum, gamma0, loglik
+
+
+def packed_logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along one axis, shifted by the slice max.
+
+    An all -inf slice gives -inf; inf and NaN propagate.
+    """
+    shift = a.max(axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(np.exp(a - shift).sum(axis=axis))
+    return out + shift.squeeze(axis)
+
+
+def packed_forward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray,
+             packing: _Packing) -> np.ndarray:
+    """Log forward messages over (N, K) emission log-densities in packed order."""
+    sizes, bounds = packing.sizes, packing.bounds
+    alpha = np.empty_like(log_b)
+    alpha[: sizes[0]] = log_pi + log_b[: sizes[0]]
+    for t in range(1, len(sizes)):
+        lo, hi, prev = bounds[t], bounds[t + 1], bounds[t - 1]
+        alpha[lo:hi] = (
+            packed_logsumexp(alpha[prev:prev + hi - lo, :, None] + log_a, axis=1) + log_b[lo:hi]
+        )
+    return alpha
+
+
+def packed_forward_backward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray,
+                      packing: _Packing):
+    """Forward-backward over every trace of a packed corpus at once.
+
+    log_b is the (N, K) emission matrix in corpus row order.  Returns
+    (gamma (N, K) in corpus row order, xi_sum (K, K) summed over traces and
+    slots, loglik (B,) in corpus trace order).
+    """
+    sizes, bounds = packing.sizes, packing.bounds
+    log_b = log_b[packing.rows]
+    alpha = packed_forward(log_pi, log_a, log_b, packing)
+    loglik = np.empty(sizes[0])
+    loglik[packing.order] = packed_logsumexp(alpha[packing.last], axis=1)
+    bad = np.flatnonzero(~np.isfinite(loglik))
+    if bad.size:
+        raise NonFiniteLikelihoodError(
+            f"log-likelihood of trace {int(bad[0])} is not finite ({loglik[bad[0]]})"
+        )
+
+    ll_sorted = loglik[packing.order]
+    beta = np.zeros_like(log_b)
+    xi_sum = np.zeros_like(log_a)
+    for t in range(len(sizes) - 2, -1, -1):
+        lo, nxt, n = bounds[t], bounds[t + 1], sizes[t + 1]
+        forward_msg = log_b[nxt:nxt + n] + beta[nxt:nxt + n]  # (n, K)
+        to_next = log_a + forward_msg[:, None, :]  # (n, K, K)
+        xi_log = alpha[lo:lo + n, :, None] + to_next - ll_sorted[:n, None, None]
+        xi_sum += np.exp(xi_log).sum(axis=0)
+        beta[lo:lo + n] = packed_logsumexp(to_next, axis=2)
+
+    slot = np.arange(len(log_b)) - np.repeat(bounds[:-1], sizes)
+    gamma = np.empty_like(log_b)
+    gamma[packing.rows] = np.exp(alpha + beta - ll_sorted[slot, None])
+    return gamma, xi_sum, loglik

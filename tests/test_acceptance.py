@@ -274,7 +274,7 @@ def test_criterion_8_exhaustive_path_oracle():
             c.t_abs = 1e12  # candidates extend the prefix in time
         ranked = dict(score_next(model, prefix, cands, k_top=3))
         for idx, cand in enumerate(cands):
-            _, lp_ext = _enumerate_logprobs(model, Trace(prefix.records + [cand]))
+            _, lp_ext = _enumerate_logprobs(model, Trace([*prefix.records, cand]))
             assert ranked[idx] == pytest.approx(float(logsumexp(lp_ext)), abs=1e-9)
         checked += 1
     _report(8, f"{checked} random instances (K<=4, R<=6): forward-backward, "

@@ -212,7 +212,7 @@ class TestScoreNext:
             cands = self._candidates(rng, 5, 3)
             ranked = dict(score_next(model, prefix, cands, k_top=5))
             for idx, cand in enumerate(cands):
-                extended = Trace(prefix.records + [cand])
+                extended = Trace([*prefix.records, cand])
                 assert ranked[idx] == pytest.approx(brute_force_loglik(model, extended), abs=1e-9)
 
     def test_single_candidate_equals_forward_on_extended_trace(self):
@@ -222,7 +222,7 @@ class TestScoreNext:
         cand = self._candidates(rng, 1, 4)
         (idx, score), = score_next(model, prefix, cand, k_top=1)
         assert idx == 0
-        _, loglik = forward_backward(model, Trace(prefix.records + cand))
+        _, loglik = forward_backward(model, Trace([*prefix.records, *cand]))
         assert score == pytest.approx(loglik, abs=1e-9)
 
     def test_duplicate_candidates_stable_order(self):
@@ -401,6 +401,12 @@ class TestCorpusBundle:
         trans = trans_counts / trans_counts.sum(axis=1, keepdims=True)
         assert model.pi.tobytes() == pi.tobytes()
         assert model.trans.tobytes() == trans.tobytes()
+
+    def test_trace_records_cannot_grow(self):
+        trace = random_trace(3, 4, np.random.default_rng(34))
+        assert isinstance(trace.records, tuple)
+        with pytest.raises(AttributeError):
+            trace.records.append(trace[0])
 
     def test_trace_rejects_mixed_embedding_lengths(self):
         rng = np.random.default_rng(33)

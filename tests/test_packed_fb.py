@@ -1,5 +1,6 @@
-"""The packed forward-backward against the per-length reference recursion,
-plus the failure and warning paths around it."""
+"""The packed forward-backward against the per-length reference recursion
+and against the packed pass as it was before its scratch block, plus the
+failure and warning paths around it."""
 
 import logging
 from dataclasses import replace
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from _fb_reference import e_step_by_length, fb_batch
+from _fb_reference import e_step_by_length, fb_batch, packed_forward, packed_forward_backward
 from _helpers import random_model, random_trace
-from shmm import hmm_core
+from shmm import hmm_core, synth
 from shmm.emission import EmissionConfig
 from shmm.hmm_core import (
     KMeansInit,
@@ -94,6 +95,78 @@ def test_forward_backward_matches_reference_per_trace(name):
         assert loglik == pytest.approx(float(ref_loglik[0]), rel=0.0, abs=TOL)
 
 
+def _benchmark_shaped_case():
+    """The first E-step of a `train-uniform`-shaped fit: K=30, 400 traces of
+    20 records, from the k-means initial model."""
+    planted = synth.planted_model(30, 30, seed=3)
+    corpus = synth.sample_corpus(planted, 400, 20, seed=4)
+    bundle = hmm_core._bundle_corpus(corpus)
+    model = hmm_core._init_from_kmeans(bundle, 30, EmissionConfig.shmm(), KMeansInit(seed=0))
+    log_b = hmm_core.log_emission_matrix(
+        model.states, model.config, bundle.times, bundle.locs, bundle.embeds
+    )
+    return model, log_b, bundle.packing
+
+
+def _scratch_pass_inputs(name):
+    if name == "benchmark-shaped":
+        model, log_b, packing = _benchmark_shaped_case()
+    else:
+        model, corpus = _case(name)
+        bundle = hmm_core._bundle_corpus(corpus)
+        log_b = hmm_core.log_emission_matrix(
+            model.states, model.config, bundle.times, bundle.locs, bundle.embeds
+        )
+        packing = bundle.packing
+    log_pi, log_a = _log_probs(model)
+    return log_pi, log_a, log_b, packing
+
+
+def _assert_matches_packed_reference(log_pi, log_a, log_b, packing):
+    packed_b = log_b[packing.rows]
+    scratch = np.empty((packing.sizes[0],) + log_a.shape)
+    alpha = hmm_core._forward(log_pi, log_a, packed_b, packing, scratch)
+    assert alpha.tobytes() == packed_forward(log_pi, log_a, packed_b, packing).tobytes()
+
+    gamma, xi_sum, loglik = hmm_core._forward_backward(log_pi, log_a, log_b, packing)
+    ref_gamma, ref_xi, ref_loglik = packed_forward_backward(log_pi, log_a, log_b, packing)
+    assert loglik.tobytes() == ref_loglik.tobytes()
+    np.testing.assert_allclose(gamma, ref_gamma, rtol=0.0, atol=TOL)
+    np.testing.assert_allclose(xi_sum, ref_xi, rtol=TOL, atol=0.0)
+    return gamma, xi_sum, loglik
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + ["benchmark-shaped"])
+def test_scratch_pass_matches_packed_reference(name):
+    _assert_matches_packed_reference(*_scratch_pass_inputs(name))
+
+
+def test_dead_transition_row_takes_the_zero_shift_path():
+    """At the first backward step state 0 can reach neither state it may
+    move to, so its whole row of log terms is -inf, while its forward
+    message lies ~2000 nats above the log-likelihood: a weight taken from
+    the clamped shift would overflow and turn xi into NaN."""
+    with np.errstate(divide="ignore"):
+        log_pi = np.log([0.5, 0.5, 0.0])
+        log_a = np.log([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+    ninf = -np.inf
+    log_b = np.array([
+        [0.0, -2000.0, ninf], [ninf, ninf, -1.0], [ninf, -3.0, -2.0],  # trace 0
+        [-1.0, -2.0, ninf], [-4.0, -1.0, -2.0],                        # trace 1
+        [0.0, -1500.0, -1.0], [ninf, ninf, -5.0], [-2.0, ninf, -1.0],  # trace 2
+    ])
+    packing = hmm_core._pack([3, 2, 3])
+    with np.errstate(over="raise", invalid="raise"):
+        gamma, xi_sum, loglik = _assert_matches_packed_reference(log_pi, log_a, log_b, packing)
+    assert not np.isnan(gamma).any() and not np.isnan(xi_sum).any()
+    assert np.isfinite(loglik).all()
+    np.testing.assert_allclose(gamma.sum(axis=1), 1.0, rtol=0.0, atol=TOL)
+    # every trace but its last record contributes one transition
+    assert xi_sum.sum() == pytest.approx(5.0, rel=TOL)
+    # state 0 has no successor at the first record of traces 0 and 2
+    assert np.all(gamma[[0, 5], 0] == 0.0)
+
+
 def test_score_next_prefix_forward_matches_reference():
     model, corpus = _case("mixed-lengths-with-ties")
     prefix, candidates = Trace(corpus[2].records[:-1]), [r for t in corpus for r in t][:12]
@@ -124,6 +197,16 @@ class TestLogSumExp:
             np.testing.assert_allclose(
                 hmm_core._logsumexp(a, axis=axis), logsumexp(a, axis=axis), rtol=1e-14
             )
+
+    def test_overwrite_gives_the_same_bits(self):
+        a = np.random.default_rng(1).normal(scale=50.0, size=(5, 6, 7))
+        a[1, 2] = -np.inf
+        for axis in range(3):
+            expected = hmm_core._logsumexp(a, axis=axis)
+            work = a.copy()
+            out = hmm_core._logsumexp(work, axis=axis, overwrite_a=True)
+            assert out.tobytes() == expected.tobytes()
+            assert not np.array_equal(work, a)
 
     def test_all_neg_inf_slice_gives_neg_inf(self):
         a = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, 1.0]])
