@@ -125,10 +125,16 @@ def _build_parser():
 
 
 def _apply_config(path: Path, command: str, options: dict) -> None:
-    """Make each config-file value the default of its option, read by the flag's type."""
-    doc = json.loads(path.read_text())
+    """Make each config-file value the default of its option, read by the flag's type.
+
+    A file that is not JSON, or not a JSON object, raises ValueError as `path: reason`.
+    """
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise ValueError(f"{path}: config file must hold a JSON object")
     for key, value in doc.items():
         if key not in options:
             raise ValueError(f"config key {key!r} is not an option of {command!r}")

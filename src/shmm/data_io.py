@@ -83,19 +83,26 @@ def _read_ndjson(path, parse):
             yield value
 
 
-def _finite(name: str, value: float) -> float:
+def _number(doc, name: str, parse=float) -> float:
+    """doc[name] read by parse; a JSON boolean or a non-finite result raises ValueError."""
+    value = doc[name]
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
+    value = parse(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 
 def _raw_record(doc):
+    """A missing or null text is the empty message."""
+    text = doc.get("text")
     return (
         str(doc["user_id"]),
-        _finite("timestamp", parse_timestamp(doc["timestamp"])),
-        _finite("lon", float(doc["lon"])),
-        _finite("lat", float(doc["lat"])),
-        str(doc.get("text", "")),
+        _number(doc, "timestamp", parse_timestamp),
+        _number(doc, "lon"),
+        _number(doc, "lat"),
+        "" if text is None else str(text),
     )
 
 

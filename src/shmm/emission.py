@@ -31,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .records import stack_records
 from .vmf import VmfParams, fit_vmf, vmf_log_norm_const
 
 #: Lower bound on the time-of-day standard deviation, seconds.
@@ -58,7 +59,8 @@ class EmissionConfig:
 
     At least one modality must be enabled.  text_model is one of "vmf",
     "gaussian" (independent per-coordinate Gaussians over the embedding)
-    or "none".
+    or "none".  Both floors must be finite and > 0: a NaN, zero or
+    negative floor would switch the floor off.
     """
 
     use_time: bool = True
@@ -72,6 +74,10 @@ class EmissionConfig:
             raise ValueError(f"text_model must be one of {TEXT_MODELS}, got {self.text_model!r}")
         if not (self.use_time or self.use_location or self.text_model != "none"):
             raise ValueError("at least one modality must be enabled")
+        for name in ("sigma_t_floor", "var_floor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     @classmethod
     def shmm(cls, **kw) -> "EmissionConfig":
@@ -193,9 +199,7 @@ def log_emission_matrix(
 
 def log_emission(state: StateParams, config: EmissionConfig, record) -> float:
     """Log emission density of a single record under one state."""
-    return float(log_emission_matrix(
-        [state], config, [record.t_day], record.loc[None, :], record.embedding[None, :]
-    )[0, 0])
+    return float(log_emission_matrix([state], config, *stack_records([record]))[0, 0])
 
 
 def _floor_covariance(cov: np.ndarray, floor: float) -> np.ndarray:

@@ -332,12 +332,8 @@ def forward_backward(model: ShmmModel, trace: Trace):
     Returns (SufficientStats, loglik) with loglik = log p(trace | model).
     """
     _check_trace(trace, model.embedding_dim)
-    log_pi, log_a = _log_probs(model)
-    log_b = log_emission_matrix(
-        model.states, model.config, trace.times, trace.locs, trace.embeddings
-    )
-    gamma, xi_sum, loglik = _forward_backward(log_pi, log_a, log_b, _pack([len(trace)]))
-    return SufficientStats(gamma=gamma, xi_sum=xi_sum), float(loglik[0])
+    gamma, xi_sum, _, loglik, _ = _e_step(model, _bundle_corpus([trace]))
+    return SufficientStats(gamma=gamma, xi_sum=xi_sum), loglik
 
 
 def _e_step(model: ShmmModel, bundle: _CorpusBundle):
@@ -504,7 +500,7 @@ def baum_welch(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if stop.max_iters < 1 or stop.rel_tol < 0.0:
+    if stop.max_iters < 1 or not stop.rel_tol >= 0.0:  # also true for NaN
         raise ValueError("need max_iters >= 1 and rel_tol >= 0")
     bundle = _bundle_corpus(corpus)
     embedding_dim = bundle.embeds.shape[1]
@@ -566,9 +562,7 @@ def viterbi(model: ShmmModel, trace: Trace) -> np.ndarray:
     """Most likely state path (argmax joint probability; ties -> lowest index)."""
     _check_trace(trace, model.embedding_dim)
     log_pi, log_a = _log_probs(model)
-    log_b = log_emission_matrix(
-        model.states, model.config, trace.times, trace.locs, trace.embeddings
-    )
+    log_b = log_emission_matrix(model.states, model.config, *stack_records(trace))
     n_steps, k = log_b.shape
     delta = log_pi + log_b[0]
     back = np.zeros((n_steps, k), dtype=int)
@@ -637,6 +631,8 @@ def _state_to_dict(state: StateParams) -> dict:
 
 
 def _state_from_dict(doc: dict, embedding_dim: int) -> StateParams:
+    if not isinstance(doc, dict):
+        raise TypeError(f"a state must be a JSON object, got {json.dumps(doc)}")
     text = None
     if doc.get("text") is not None:
         text = VmfParams(
@@ -678,14 +674,19 @@ def model_to_dict(model: ShmmModel) -> dict:
     }
 
 
-def model_from_dict(doc: dict) -> ShmmModel:
-    if doc.get("format") != MODEL_FORMAT:
+def _model_fields(doc: dict) -> dict:
+    """ShmmModel's arguments read from a model document.
+
+    A missing key raises KeyError; a value of the wrong type or shape
+    raises TypeError or ValueError.
+    """
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError("not a model document")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {doc.get('format_version')!r}")
     config = EmissionConfig(**doc["config"])
     embedding_dim = int(doc["embedding_dim"])
-    return ShmmModel(
+    return dict(
         n_states=int(doc["n_states"]),
         pi=np.array(doc["pi"], dtype=float),
         trans=np.array(doc["trans"], dtype=float),
@@ -695,12 +696,32 @@ def model_from_dict(doc: dict) -> ShmmModel:
     )
 
 
+def model_from_dict(doc: dict) -> ShmmModel:
+    return ShmmModel(**_model_fields(doc))
+
+
 def save_model(model: ShmmModel, path) -> None:
     Path(path).write_text(json.dumps(model_to_dict(model), indent=1) + "\n")
 
 
 def load_model(path) -> ShmmModel:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    """Read a model written by `save_model`.
+
+    A file that is not JSON, or that misses a key or holds a value of the
+    wrong type or shape, raises ValueError as `path: reason`.  Parts that
+    parse but do not fit together (a pi of the wrong length, a state
+    without the text parameters its text_model needs) raise ShmmModel's
+    own ValueError, as `model_from_dict` does.
+    """
+    try:
+        fields = _model_fields(json.loads(Path(path).read_text()))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return ShmmModel(**fields)
 
 
 def relabel_states(model: ShmmModel, perm: Sequence[int]) -> ShmmModel:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -51,8 +50,9 @@ class SemanticRecord:
 class Trace:
     """Time-ordered records of a single user: non-decreasing t_abs, one embedding length.
 
-    records is a tuple, so a validated trace cannot grow behind its checks
-    and its cached columns.
+    records is a tuple, so a validated trace cannot grow behind its checks.
+    A trace holds only its records; `stack_records(trace)` gives its
+    (times, locs, embeddings) columns.
     """
 
     records: tuple = ()
@@ -74,18 +74,6 @@ class Trace:
 
     def __getitem__(self, idx):
         return self.records[idx]
-
-    @cached_property
-    def times(self) -> np.ndarray:
-        return np.array([r.t_day for r in self.records], dtype=float)
-
-    @cached_property
-    def locs(self) -> np.ndarray:
-        return np.array([r.loc for r in self.records], dtype=float)
-
-    @cached_property
-    def embeddings(self) -> np.ndarray:
-        return np.array([r.embedding for r in self.records], dtype=float)
 
 
 def stack_records(records: Sequence[SemanticRecord]):

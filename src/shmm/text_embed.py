@@ -81,7 +81,9 @@ def load_keyword_vectors(path) -> KeywordTable:
 
     Format: UTF-8 text, one "token x1 ... xp" record per line; an optional
     first line holding exactly two integers is treated as a
-    "<vocab_size> <dim>" header and skipped.
+    "<vocab_size> <dim>" header and skipped.  Every vector has the first
+    vector's p >= 1 finite coordinates; a line that does not raises
+    ValueError as `path:line: reason`.
     """
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
@@ -99,15 +101,20 @@ def load_keyword_vectors(path) -> KeywordTable:
                 except ValueError:
                     pass
             try:
-                rows.append(np.array([float(x) for x in parts[1:]], dtype=float))
+                row = np.array([float(x) for x in parts[1:]], dtype=float)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed vector entry") from exc
+            if not row.size:
+                raise ValueError(f"{path}:{lineno}: {parts[0]!r} has no coordinates")
+            if rows and row.size != rows[0].size:
+                raise ValueError(f"{path}:{lineno}: {parts[0]!r} has {row.size} coordinates, "
+                                 f"the first vector {rows[0].size}")
+            if not np.all(np.isfinite(row)):
+                raise ValueError(f"{path}:{lineno}: {parts[0]!r} has a non-finite coordinate")
+            rows.append(row)
             tokens.append(parts[0])
     if not tokens:
         raise ValueError(f"{path}: no keyword vectors found")
-    dims = {r.shape[0] for r in rows}
-    if len(dims) != 1 or rows[0].shape[0] == 0:
-        raise ValueError(f"{path}: inconsistent embedding dimensions {sorted(dims)}")
     return KeywordTable(vocabulary=tokens, vectors=np.vstack(rows), idf=np.ones(len(tokens)))
 
 
@@ -155,8 +162,10 @@ def embed_message(tokens: Sequence[str], table: KeywordTable) -> np.ndarray:
 def nearest_keywords(direction: np.ndarray, table: KeywordTable, k: int) -> list[str]:
     """The k vocabulary tokens whose vectors are closest in cosine.
 
-    Ties break lexicographically.
+    Ties break lexicographically.  k must lie in [0, vocabulary size].
     """
+    if k < 0:
+        raise ValueError(f"keyword count k must be >= 0, got {k}")
     if k > len(table.vocabulary):
         raise ValueError(f"k={k} exceeds vocabulary size {len(table.vocabulary)}")
     direction = np.asarray(direction, dtype=float)

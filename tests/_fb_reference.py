@@ -14,6 +14,7 @@ from scipy.special import logsumexp
 
 from shmm.emission import log_emission_matrix
 from shmm.hmm_core import NonFiniteLikelihoodError, _Packing
+from shmm.records import stack_records
 
 
 def fb_batch(log_pi, log_a, log_b):
@@ -56,9 +57,8 @@ def e_step_by_length(model, corpus):
     """
     with np.errstate(divide="ignore"):
         log_pi, log_a = np.log(model.pi), np.log(model.trans)
-    times = np.concatenate([t.times for t in corpus])
-    locs = np.concatenate([t.locs for t in corpus])
-    embeds = np.concatenate([t.embeddings for t in corpus])
+    columns = [stack_records(t) for t in corpus]
+    times, locs, embeds = (np.concatenate([c[i] for c in columns]) for i in range(3))
     log_b_all = log_emission_matrix(model.states, model.config, times, locs, embeds)
 
     offsets = np.cumsum([0] + [len(t) for t in corpus])

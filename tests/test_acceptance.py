@@ -28,7 +28,7 @@ from shmm.hmm_core import (
     score_next,
     viterbi,
 )
-from shmm.records import Trace
+from shmm.records import Trace, stack_records
 from shmm.special_fns import bessel_ratio_a
 from shmm.synth import planted_model, sample_corpus
 from shmm.vmf import VmfParams, fit_vmf, sample_vmf, solve_concentration, vmf_log_norm_const
@@ -236,9 +236,7 @@ def test_criterion_7_planted_model_recovery(recovery_run):
 def _enumerate_logprobs(model, trace):
     """All-path joint log-probabilities by explicit enumeration."""
     k, r = model.n_states, len(trace)
-    log_b = log_emission_matrix(
-        model.states, model.config, trace.times, trace.locs, trace.embeddings
-    )
+    log_b = log_emission_matrix(model.states, model.config, *stack_records(trace))
     with np.errstate(divide="ignore"):
         log_pi, log_a = np.log(model.pi), np.log(model.trans)
     paths = np.array(list(itertools.product(range(k), repeat=r)), dtype=int)

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,20 @@ class TestPreprocess:
         ])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {raw}:3: {message}\n"
+
+    def test_null_text_is_the_empty_message(self, tmp_path):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("coffee 1.0 0.0\nnone 0.0 1.0\n")
+        raw = tmp_path / "raw.ndjson"
+        docs = [{"user_id": "u", "timestamp": 60 * i, "lon": 0.0, "lat": 0.0, "text": text}
+                for i, text in enumerate(["coffee", None, "coffee"])]
+        raw.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        out = tmp_path / "out"
+        assert main(["preprocess", "--input", str(raw), "--embeddings", str(vectors),
+                     "--output-dir", str(out)]) == 0
+        report = json.loads((out / "preprocess_report.json").read_text())
+        assert report["records_dropped_no_tokens"] == 1
+        assert report["n_records_kept"] == 2
 
 
 class TestTrain:
@@ -616,3 +631,118 @@ class TestConfig:
         path.write_text(json.dumps(config))
         with pytest.raises(SystemExit, match=f"^missing required option {flag}$"):
             main(["--config", str(path), *argv])
+
+
+def _edit_model(edit):
+    """Mutation: apply edit to the decoded model document and write it back."""
+    def mutate(files):
+        doc = json.loads(files["model"].read_text())
+        edit(doc)
+        files["model"].write_text(json.dumps(doc))
+    return mutate
+
+
+def _write(name, text):
+    """Mutation: replace the file `name` with text."""
+    return lambda files: files[name].write_text(text)
+
+
+def _replace_line(name, lineno, line):
+    """Mutation: replace line lineno (1-based) of the file `name`."""
+    def mutate(files):
+        lines = files[name].read_text().splitlines()
+        lines[lineno - 1] = line
+        files[name].write_text("\n".join(lines) + "\n")
+    return mutate
+
+
+def _raw_field(key, value):
+    """Mutation: set one field of the second raw record."""
+    def mutate(files):
+        lines = files["raw"].read_text().splitlines()
+        lines[1] = json.dumps(dict(json.loads(lines[1]), **{key: value}))
+        files["raw"].write_text("\n".join(lines) + "\n")
+    return mutate
+
+
+_PREPROCESS = "preprocess --input {raw} --embeddings {vectors}"
+_TRAIN = "train --corpus {corpus} --k 2 --max-iters 2"
+_SUMMARIZE = "summarize --model {model} --embeddings {vectors}"
+_PREDICT = "predict --model {model} --corpus {corpus} --pool-size 3"
+
+
+class TestBadInputs:
+    """Each bad input exits 1 with one `error:` line that names the file (and
+    line) or the option at fault, and no traceback."""
+
+    @pytest.fixture
+    def files(self, tmp_path, raw_file, vectors_file):
+        model = planted_model(2, 4, seed=3)
+        files = {"raw": raw_file, "vectors": vectors_file, "model": tmp_path / "model.json",
+                 "corpus": tmp_path / "corpus.ndjson", "config": tmp_path / "config.json"}
+        from shmm.hmm_core import save_model
+
+        save_model(model, files["model"])
+        data_io.write_corpus(sample_corpus(model, 10, 4, seed=4), files["corpus"])
+        files["config"].write_text("{}")
+        return files
+
+    @pytest.mark.parametrize("command, mutate, expected", [
+        pytest.param(_SUMMARIZE, _edit_model(lambda d: d["config"].update(colour="red")),
+                     "{model}: .*'colour'", id="summarize-model-config-unknown-key"),
+        pytest.param(_PREDICT, _edit_model(lambda d: d["config"].update(colour="red")),
+                     "{model}: .*'colour'", id="predict-model-config-unknown-key"),
+        pytest.param(_SUMMARIZE, lambda f: f["model"].write_text(f["model"].read_text()[:24]),
+                     "{model}: invalid JSON: .+", id="model-truncated"),
+        pytest.param(_PREDICT,
+                     _edit_model(lambda d: d["states"][0].update(cov_l=[[1.0, 0.0], [0.0]])),
+                     "{model}: .+", id="model-ragged-cov_l"),
+        pytest.param(_PREDICT, _edit_model(lambda d: d.pop("states")),
+                     "{model}: missing key 'states'", id="model-missing-key"),
+        pytest.param(_SUMMARIZE, _edit_model(lambda d: d.update(n_states="two")),
+                     "{model}: .+'two'", id="model-wrong-type"),
+        pytest.param(_SUMMARIZE, _edit_model(lambda d: d["states"].__setitem__(0, [1, 2])),
+                     "{model}: a state must be a JSON object, got \\[1, 2\\]",
+                     id="model-state-not-object"),
+        pytest.param(_PREDICT, _write("model", "[1, 2]"), "{model}: not a model document",
+                     id="model-not-object"),
+        pytest.param("--config {config} " + _TRAIN, _write("config", "{not json"),
+                     "{config}: invalid JSON: .+", id="config-invalid-json"),
+        pytest.param("--config {config} " + _TRAIN, _write("config", "[1, 2]"),
+                     "{config}: config file must hold a JSON object", id="config-not-object"),
+        pytest.param(_TRAIN + " --sigma-t-floor nan", None,
+                     "sigma_t_floor must be finite and > 0, got nan", id="sigma-t-floor-nan"),
+        pytest.param(_TRAIN + " --var-floor 0", None,
+                     "var_floor must be finite and > 0, got 0.0", id="var-floor-zero"),
+        pytest.param(_TRAIN + " --var-floor -1", None,
+                     "var_floor must be finite and > 0, got -1.0", id="var-floor-negative"),
+        pytest.param(_TRAIN + " --rel-tol nan", None,
+                     "need max_iters >= 1 and rel_tol >= 0", id="rel-tol-nan"),
+        pytest.param(_PREPROCESS, _replace_line("vectors", 2, "espresso nan 0.2 0.1 0.0"),
+                     "{vectors}:2: 'espresso' has a non-finite coordinate",
+                     id="vectors-nan-coordinate"),
+        pytest.param(_SUMMARIZE, _replace_line("vectors", 3, "beach -0.1 1.0 0.1"),
+                     "{vectors}:3: 'beach' has 3 coordinates, the first vector 4",
+                     id="vectors-short-line"),
+        pytest.param(_SUMMARIZE + " --k-keywords -1", None,
+                     "keyword count k must be >= 0, got -1", id="k-keywords-negative"),
+        pytest.param(_PREPROCESS, _raw_field("timestamp", True),
+                     "{raw}:2: timestamp must be a number, got true", id="raw-timestamp-bool"),
+        pytest.param(_PREPROCESS, _raw_field("lon", False),
+                     "{raw}:2: lon must be a number, got false", id="raw-lon-bool"),
+        pytest.param(_PREPROCESS, _raw_field("lat", True),
+                     "{raw}:2: lat must be a number, got true", id="raw-lat-bool"),
+    ])
+    def test_fails_with_one_located_error_line(self, tmp_path, capsys, files, command, mutate,
+                                               expected):
+        if mutate is not None:
+            mutate(files)
+        argv = [token.format(**files) for token in command.split()]
+        rc = main([*argv, "--output-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "Traceback" not in captured.err
+        pattern = "error: " + expected.format(**{k: re.escape(str(v)) for k, v in files.items()})
+        assert len(captured.err.splitlines()) == 1
+        assert re.fullmatch(pattern, captured.err.rstrip("\n")), captured.err
+        assert captured.out == ""

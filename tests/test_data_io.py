@@ -22,7 +22,7 @@ from shmm.data_io import (
     to_time_of_day,
     write_corpus,
 )
-from shmm.records import SemanticRecord, Trace
+from shmm.records import SemanticRecord, Trace, stack_records
 
 import _pool_reference
 
@@ -494,8 +494,8 @@ class TestTimestampsAndPersistence:
         assert len(loaded) == 3
         for a, b in zip(loaded, traces):
             assert a[0].user_id == b[0].user_id
-            np.testing.assert_array_equal(a.embeddings, b.embeddings)
-            np.testing.assert_array_equal(a.locs, b.locs)
+            np.testing.assert_array_equal(stack_records(a)[2], stack_records(b)[2])
+            np.testing.assert_array_equal(stack_records(a)[1], stack_records(b)[1])
             assert [r.raw_text for r in a] == [r.raw_text for r in b]
 
     def test_corpus_round_trip_gzip(self, tmp_path):

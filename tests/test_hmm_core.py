@@ -370,14 +370,27 @@ class TestCorpusBundle:
     @pytest.mark.parametrize("name", sorted(BUNDLE_CASES))
     def test_arrays_equal_the_per_trace_concatenation(self, name):
         from shmm.hmm_core import _bundle_corpus
+        from shmm.records import stack_records
 
         corpus = _bundle_case(name)
         bundle = _bundle_corpus(corpus)
-        for got, column in ((bundle.times, "times"), (bundle.locs, "locs"),
-                            (bundle.embeds, "embeddings")):
-            expected = np.concatenate([getattr(t, column) for t in corpus])
+        columns = [stack_records(t) for t in corpus]
+        for i, got in enumerate((bundle.times, bundle.locs, bundle.embeds)):
+            expected = np.concatenate([c[i] for c in columns])
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
+
+    def test_forward_backward_reads_records_changed_after_construction(self):
+        from shmm.hmm_core import _bundle_corpus, _e_step
+
+        rng = np.random.default_rng(21)
+        model, trace = random_model(3, 4, rng), random_trace(5, 4, rng)
+        forward_backward(model, trace)  # scored once before the change
+        trace[2].t_day = (trace[2].t_day + 43_200.0) % 86_400.0
+        stats, loglik = forward_backward(model, trace)
+        gamma, _, _, corpus_loglik, _ = _e_step(model, _bundle_corpus([trace]))
+        assert loglik == corpus_loglik
+        assert np.array_equal(stats.gamma, gamma)
 
     @pytest.mark.parametrize("name", sorted(BUNDLE_CASES))
     def test_kmeans_counts_equal_the_per_trace_loop(self, name):

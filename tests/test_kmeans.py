@@ -13,6 +13,7 @@ import pytest
 
 from _kmeans_reference import kmeans_locations as reference
 from shmm.hmm_core import KMeansInit, _cluster_means, _kmeans_locations
+from shmm.records import stack_records
 from shmm.synth import planted_model, sample_corpus
 
 N_ITER = KMeansInit().n_iter
@@ -21,7 +22,7 @@ N_ITER = KMeansInit().n_iter
 def _uniform_locs(seed):
     """Record locations shaped like the train-uniform benchmark: K=30, 400 x 20."""
     model = planted_model(30, 30, seed)
-    return np.concatenate([t.locs for t in sample_corpus(model, 400, 20, seed + 100)])
+    return np.concatenate([stack_records(t)[1] for t in sample_corpus(model, 400, 20, seed + 100)])
 
 
 def _mixed_locs(seed):
@@ -31,7 +32,7 @@ def _mixed_locs(seed):
     u = (np.arange(850) + 0.5) / 850
     lengths = np.minimum(1 + np.ceil(np.log1p(-u) / math.log1p(-1.0 / 12)).astype(int), 200)
     return np.concatenate([
-        t.locs
+        stack_records(t)[1]
         for length in np.unique(lengths)
         for t in sample_corpus(model, int((lengths == length).sum()), int(length), seed + length)
     ])

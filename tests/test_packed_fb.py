@@ -22,7 +22,7 @@ from shmm.hmm_core import (
     score_next,
     viterbi,
 )
-from shmm.records import Trace
+from shmm.records import Trace, stack_records
 
 P = 4
 TOL = 1e-12
@@ -86,9 +86,7 @@ def test_forward_backward_matches_reference_per_trace(name):
     log_pi, log_a = _log_probs(model)
     for trace in corpus:
         stats, loglik = forward_backward(model, trace)
-        log_b = hmm_core.log_emission_matrix(
-            model.states, model.config, trace.times, trace.locs, trace.embeddings
-        )
+        log_b = hmm_core.log_emission_matrix(model.states, model.config, *stack_records(trace))
         ref_gamma, ref_xi, ref_loglik = fb_batch(log_pi, log_a, log_b[None])
         np.testing.assert_allclose(stats.gamma, ref_gamma[0], rtol=0.0, atol=TOL)
         np.testing.assert_allclose(stats.xi_sum, ref_xi, rtol=TOL, atol=0.0)
@@ -171,9 +169,7 @@ def test_score_next_prefix_forward_matches_reference():
     model, corpus = _case("mixed-lengths-with-ties")
     prefix, candidates = Trace(corpus[2].records[:-1]), [r for t in corpus for r in t][:12]
     log_pi, log_a = _log_probs(model)
-    log_b = hmm_core.log_emission_matrix(
-        model.states, model.config, prefix.times, prefix.locs, prefix.embeddings
-    )
+    log_b = hmm_core.log_emission_matrix(model.states, model.config, *stack_records(prefix))
     alpha = log_pi + log_b[0]
     for t in range(1, len(prefix)):
         alpha = logsumexp(alpha[:, None] + log_a, axis=0) + log_b[t]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import _synth_reference as reference
+from shmm.records import stack_records
 from shmm.synth import (
     ESTIMATION_GRIDS,
     estimation_error,
@@ -33,18 +34,19 @@ class TestGenerators:
         b = sample_corpus(model, 20, 7, seed=5)
         assert len(a) == 20
         assert all(len(t) == 7 for t in a)
-        np.testing.assert_array_equal(a[3].embeddings, b[3].embeddings)
-        np.testing.assert_array_equal(a[3].locs, b[3].locs)
+        np.testing.assert_array_equal(stack_records(a[3])[2], stack_records(b[3])[2])
+        np.testing.assert_array_equal(stack_records(a[3])[1], stack_records(b[3])[1])
         for trace in a:
-            np.testing.assert_allclose(np.linalg.norm(trace.embeddings, axis=1), 1.0, atol=1e-9)
+            np.testing.assert_allclose(np.linalg.norm(stack_records(trace)[2], axis=1), 1.0,
+                                       atol=1e-9)
 
     def test_single_state_moments_match(self):
         model = planted_model(1, 4, seed=6, kappas=[30.0])
         corpus = sample_corpus(model, 200, 10, seed=7)
-        times = np.concatenate([t.times for t in corpus])
+        times = np.concatenate([stack_records(t)[0] for t in corpus])
         state = model.states[0]
         assert times.mean() == pytest.approx(state.mu_t, abs=4 * state.sigma_t / np.sqrt(2000))
-        locs = np.concatenate([t.locs for t in corpus])
+        locs = np.concatenate([stack_records(t)[1] for t in corpus])
         np.testing.assert_allclose(locs.mean(axis=0), state.mu_l, atol=0.01)
 
 
