@@ -8,6 +8,8 @@ long flags with underscores; other keys are errors), each value read by
 its flag's type as the text after the flag (2.7, true or [1] for an int
 option is an error; null means unset).  Precedence: flag > config > default.
 
+Each command reads and checks its inputs, computes, and only then creates
+--output-dir and writes, so a run that fails leaves no output directory.
 Outputs land in --output-dir as CSV/JSON:
 
 * preprocess: corpus.ndjson + preprocess_report.json
@@ -163,10 +165,6 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
     table = text_embed.load_keyword_vectors(args.embeddings)
-    if not args.input.exists():
-        raise FileNotFoundError(f"input file {args.input} does not exist")
-    out = _out_dir(args)
-
     raw = list(data_io.read_raw_records(args.input))
     messages = [text_embed.tokenize(text) for *_, text in raw]
     if messages:
@@ -199,6 +197,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         traces.extend(result.traces)
         dropped_short += result.n_dropped_records
 
+    out = _out_dir(args)
     corpus_path = out / "corpus.ndjson"
     data_io.write_corpus(traces, corpus_path)
     report = {
@@ -226,9 +225,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = EmissionConfig.preset(args.preset, sigma_t_floor=args.sigma_t_floor,
                                    var_floor=args.var_floor)
     stop = StopCriteria(rel_tol=args.rel_tol, max_iters=args.max_iters)
-    out = _out_dir(args)
-
     model, history = baum_welch(corpus, args.k, config, init=KMeansInit(seed=args.seed), stop=stop)
+
+    out = _out_dir(args)
     model_path = out / "model.json"
     save_model(model, model_path)
     _write_csv(
@@ -249,8 +248,6 @@ def cmd_summarize(args: argparse.Namespace) -> int:
             f"keyword vectors have dim {table.dim} but the model expects "
             f"{model.embedding_dim}"
         )
-    out = _out_dir(args)
-
     rows = []
     for j, state in enumerate(model.states):
         if state.text is not None:
@@ -274,7 +271,8 @@ def cmd_summarize(args: argparse.Namespace) -> int:
                 transitions,
             )
         )
-    path = out / "summary.csv"
+
+    path = _out_dir(args) / "summary.csv"
     _write_csv(
         path,
         ["state", "mean_lon", "mean_lat", "mean_time_s", "sigma_t_s", "kappa",
@@ -293,13 +291,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not usable:
         raise ValueError("test corpus has no traces of length >= 2")
     dataset = args.corpus.stem if args.dataset is None else args.dataset
-    out = _out_dir(args)
-
     index = data_io.RecordIndex.from_traces(usable)
     pools = data_io.build_pools(usable, index, args.dist_thresh, args.time_thresh,
                                 args.pool_size, args.seed)
     accuracy = data_io.evaluate_prediction(model, usable, pools, args.k_list)
 
+    out = _out_dir(args)
     path = out / "accuracy.csv"
     _write_csv(
         path,

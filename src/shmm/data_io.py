@@ -62,6 +62,8 @@ def parse_timestamp(value) -> float:
 
 
 def to_time_of_day(t_abs: float, utc_offset_s: float) -> float:
+    if not math.isfinite(utc_offset_s):
+        raise ValueError(f"utc_offset must be finite, got {utc_offset_s!r}")
     return (t_abs + utc_offset_s) % SECONDS_PER_DAY
 
 
@@ -131,8 +133,10 @@ def segment_history(
     A new trace starts whenever the gap between consecutive records
     exceeds delta_t; traces shorter than min_len are discarded (their
     record count is reported so callers can account for every input
-    record).
+    record).  delta_t must be a number >= 0.
     """
+    if not delta_t >= 0.0:  # also false for NaN
+        raise ValueError(f"delta_t must be a number >= 0, got {delta_t!r}")
     for a, b in zip(records, records[1:]):
         if b.t_abs < a.t_abs:
             raise ValueError("records must be sorted by t_abs")

@@ -140,6 +140,20 @@ class StateParams:
             self.text_var = np.asarray(self.text_var, dtype=float)
 
 
+def check_positive_definite(cov_l: np.ndarray) -> np.ndarray:
+    """Determinants of K stacked 2x2 location covariances, (K, 2, 2).
+
+    Raises ValueError naming the first state whose covariance is not
+    positive definite.
+    """
+    a, b, d = cov_l[:, 0, 0], cov_l[:, 0, 1], cov_l[:, 1, 1]
+    det = a * d - b * b
+    not_pd = np.flatnonzero(~((a > 0.0) & (det > 0.0)))
+    if not_pd.size:
+        raise ValueError(f"cov_l of state {not_pd[0]} is not positive definite")
+    return det
+
+
 def log_emission_matrix(
     states: Sequence[StateParams],
     config: EmissionConfig,
@@ -164,11 +178,8 @@ def log_emission_matrix(
     if config.use_location:
         mu_l = np.array([s.mu_l for s in states])
         cov_l = np.array([s.cov_l for s in states])
+        det = check_positive_definite(cov_l)
         a, b, d = cov_l[:, 0, 0], cov_l[:, 0, 1], cov_l[:, 1, 1]
-        det = a * d - b * b
-        not_pd = np.flatnonzero(~((a > 0.0) & (det > 0.0)))
-        if not_pd.size:
-            raise ValueError(f"cov_l of state {not_pd[0]} is not positive definite")
         dx = locs[:, 0:1] - mu_l[:, 0]
         dy = locs[:, 1:2] - mu_l[:, 1]
         quad = (d * dx * dx - 2.0 * b * dx * dy + a * dy * dy) / det

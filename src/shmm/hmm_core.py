@@ -38,6 +38,7 @@ from .emission import (
     EmissionConfig,
     EmptyStateError,
     StateParams,
+    check_positive_definite,
     log_emission_matrix,
     m_step_state,
 )
@@ -102,6 +103,10 @@ class ShmmModel:
             raise ValueError("every transition row must sum to 1")
         p, text_model = self.embedding_dim, self.config.text_model
         for j, s in enumerate(self.states):
+            for name in ("mu_t", "sigma_t", "mu_l", "cov_l", "text_mean"):
+                value = getattr(s, name)
+                if value is not None and not np.all(np.isfinite(value)):
+                    raise ValueError(f"state {j}: {name} must be finite")
             if text_model == "vmf" and (s.text is None or s.text.p != p):
                 raise ValueError(
                     f"state {j}: text_model 'vmf' needs vMF text parameters of dimension {p}"
@@ -114,6 +119,7 @@ class ShmmModel:
                     f"state {j}: text_model 'gaussian' needs text_mean and positive text_var "
                     f"of shape ({p},)"
                 )
+        check_positive_definite(np.array([s.cov_l for s in self.states]))
 
 
 @dataclass
@@ -144,6 +150,10 @@ class KMeansInit:
 class StopCriteria:
     rel_tol: float = 1e-6
     max_iters: int = 200
+
+    def __post_init__(self):
+        if self.max_iters < 1 or not self.rel_tol >= 0.0:  # also true for NaN
+            raise ValueError("need max_iters >= 1 and rel_tol >= 0")
 
 
 @dataclass(frozen=True)
@@ -500,8 +510,6 @@ def baum_welch(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if stop.max_iters < 1 or not stop.rel_tol >= 0.0:  # also true for NaN
-        raise ValueError("need max_iters >= 1 and rel_tol >= 0")
     bundle = _bundle_corpus(corpus)
     embedding_dim = bundle.embeds.shape[1]
 
@@ -674,11 +682,11 @@ def model_to_dict(model: ShmmModel) -> dict:
     }
 
 
-def _model_fields(doc: dict) -> dict:
-    """ShmmModel's arguments read from a model document.
+def model_from_dict(doc: dict) -> ShmmModel:
+    """The model a `model_to_dict` document describes.
 
-    A missing key raises KeyError; a value of the wrong type or shape
-    raises TypeError or ValueError.
+    A missing key raises KeyError; a value of the wrong type or shape, or
+    parts that do not fit together, raise TypeError or ValueError.
     """
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError("not a model document")
@@ -686,7 +694,7 @@ def _model_fields(doc: dict) -> dict:
         raise ValueError(f"unsupported model format version {doc.get('format_version')!r}")
     config = EmissionConfig(**doc["config"])
     embedding_dim = int(doc["embedding_dim"])
-    return dict(
+    return ShmmModel(
         n_states=int(doc["n_states"]),
         pi=np.array(doc["pi"], dtype=float),
         trans=np.array(doc["trans"], dtype=float),
@@ -696,10 +704,6 @@ def _model_fields(doc: dict) -> dict:
     )
 
 
-def model_from_dict(doc: dict) -> ShmmModel:
-    return ShmmModel(**_model_fields(doc))
-
-
 def save_model(model: ShmmModel, path) -> None:
     Path(path).write_text(json.dumps(model_to_dict(model), indent=1) + "\n")
 
@@ -707,21 +711,20 @@ def save_model(model: ShmmModel, path) -> None:
 def load_model(path) -> ShmmModel:
     """Read a model written by `save_model`.
 
-    A file that is not JSON, or that misses a key or holds a value of the
-    wrong type or shape, raises ValueError as `path: reason`.  Parts that
-    parse but do not fit together (a pi of the wrong length, a state
-    without the text parameters its text_model needs) raise ShmmModel's
-    own ValueError, as `model_from_dict` does.
+    A file that is not JSON, misses a key, holds a value of the wrong type
+    or shape, or holds parts that do not fit together (a pi of the wrong
+    length, a state without the text parameters its text_model needs, a
+    non-finite or not positive definite state parameter) raises
+    ValueError as `path: reason`.
     """
     try:
-        fields = _model_fields(json.loads(Path(path).read_text()))
+        return model_from_dict(json.loads(Path(path).read_text()))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return ShmmModel(**fields)
 
 
 def relabel_states(model: ShmmModel, perm: Sequence[int]) -> ShmmModel:

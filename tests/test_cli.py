@@ -396,7 +396,7 @@ class TestPredict:
         ])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {name} must be")
-        assert not (out / "accuracy.csv").exists()
+        assert not out.exists()
 
     def test_foreign_embedding_dim_names_the_trace(self, tmp_path, capsys):
         model_true = planted_model(3, 4, seed=3, loc_cov=np.diag([1e-5, 1e-5]))
@@ -433,7 +433,8 @@ class TestPredict:
             "--output-dir", str(tmp_path / "pred"),
         ])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: state 1: text_model 'vmf'")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model_path}: state 1: text_model 'vmf'")
 
 
 class TestSynth:
@@ -706,6 +707,15 @@ class TestBadInputs:
                      id="model-state-not-object"),
         pytest.param(_PREDICT, _write("model", "[1, 2]"), "{model}: not a model document",
                      id="model-not-object"),
+        pytest.param(_PREDICT, _edit_model(lambda d: d.update(pi=[1.0])),
+                     "{model}: pi must be \\(K,\\) and trans \\(K, K\\)",
+                     id="model-pi-wrong-length"),
+        pytest.param(_SUMMARIZE, _edit_model(lambda d: d["states"][0].update(mu_t=float("nan"))),
+                     "{model}: state 0: mu_t must be finite", id="model-nan-mu_t"),
+        pytest.param(_PREDICT,
+                     _edit_model(lambda d: d["states"][1].update(cov_l=[[1.0, 2.0], [2.0, 1.0]])),
+                     "{model}: cov_l of state 1 is not positive definite",
+                     id="model-cov_l-not-positive-definite"),
         pytest.param("--config {config} " + _TRAIN, _write("config", "{not json"),
                      "{config}: invalid JSON: .+", id="config-invalid-json"),
         pytest.param("--config {config} " + _TRAIN, _write("config", "[1, 2]"),
@@ -718,6 +728,12 @@ class TestBadInputs:
                      "var_floor must be finite and > 0, got -1.0", id="var-floor-negative"),
         pytest.param(_TRAIN + " --rel-tol nan", None,
                      "need max_iters >= 1 and rel_tol >= 0", id="rel-tol-nan"),
+        pytest.param(_TRAIN.replace("--k 2", "--k 50"), None,
+                     "cannot initialize 50 states from 40 records", id="k-above-record-count"),
+        pytest.param(_PREPROCESS + " --utc-offset nan", None,
+                     "utc_offset must be finite, got nan", id="utc-offset-nan"),
+        pytest.param(_PREPROCESS + " --delta-t nan", None,
+                     "delta_t must be a number >= 0, got nan", id="delta-t-nan"),
         pytest.param(_PREPROCESS, _replace_line("vectors", 2, "espresso nan 0.2 0.1 0.0"),
                      "{vectors}:2: 'espresso' has a non-finite coordinate",
                      id="vectors-nan-coordinate"),
@@ -746,3 +762,4 @@ class TestBadInputs:
         assert len(captured.err.splitlines()) == 1
         assert re.fullmatch(pattern, captured.err.rstrip("\n")), captured.err
         assert captured.out == ""
+        assert not (tmp_path / "out").exists()

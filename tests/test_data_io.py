@@ -90,6 +90,13 @@ class TestSegmentHistory:
         with pytest.raises(ValueError):
             segment_history(records)
 
+    @pytest.mark.parametrize("delta_t", [math.nan, -1.0])
+    def test_delta_t_that_would_switch_segmentation_off_is_rejected(self, delta_t):
+        # a NaN gap threshold compares False with every gap: one trace, no split
+        records = [make_record(t * 240 * HOUR) for t in range(4)]
+        with pytest.raises(ValueError, match=f"^delta_t must be a number >= 0, got {delta_t}$"):
+            segment_history(records, delta_t=delta_t, min_len=1)
+
 
 class TestSplitCorpus:
     def _traces(self, n):
@@ -471,6 +478,11 @@ class TestTimestampsAndPersistence:
         # UTC-7: 2014-08-01T00:00:00Z is 17:00 local the previous day
         t = to_time_of_day(1406851200.0, -7 * 3600.0)
         assert t == pytest.approx(17 * 3600.0)
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+    def test_non_finite_utc_offset_is_rejected(self, offset):
+        with pytest.raises(ValueError, match=f"^utc_offset must be finite, got {offset}$"):
+            to_time_of_day(1406851200.0, offset)
 
     def test_corpus_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -6,6 +6,7 @@ state paths.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +241,13 @@ class TestScoreNext:
 
 
 class TestBaumWelch:
+    @pytest.mark.parametrize("kwargs", [
+        {"rel_tol": math.nan}, {"rel_tol": -1e-6}, {"max_iters": 0},
+    ])
+    def test_stop_criteria_reject_values_that_never_or_always_stop(self, kwargs):
+        with pytest.raises(ValueError, match="^need max_iters >= 1 and rel_tol >= 0$"):
+            StopCriteria(**kwargs)
+
     def test_single_state_matches_pooled_moments(self):
         model_true = planted_model(1, 4, seed=0)
         corpus = sample_corpus(model_true, 40, 8, seed=1)
@@ -472,6 +480,27 @@ class TestSerialization:
         loaded = model_from_dict(doc)
         np.testing.assert_array_equal(loaded.states[0].text_mean, state.text_mean)
         assert loaded.states[0].text is None
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("mu_t", math.nan, "state 1: mu_t must be finite"),
+        ("sigma_t", math.inf, "state 1: sigma_t must be finite"),
+        ("mu_l", [0.0, math.nan], "state 1: mu_l must be finite"),
+        ("cov_l", [[1.0, 0.0], [0.0, math.inf]], "state 1: cov_l must be finite"),
+        ("cov_l", [[1.0, 2.0], [2.0, 1.0]], "cov_l of state 1 is not positive definite"),
+        ("cov_l", [[-1.0, 0.0], [0.0, -1.0]], "cov_l of state 1 is not positive definite"),
+    ])
+    def test_bad_state_parameter_is_rejected_naming_the_state(self, field, value, message):
+        doc = model_to_dict(random_model(3, 5, np.random.default_rng(17)))
+        doc["states"][1][field] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            model_from_dict(doc)
+
+    def test_non_finite_gaussian_text_mean_is_rejected(self):
+        state = StateParams(mu_t=100.0, sigma_t=60.0, mu_l=np.zeros(2), cov_l=np.eye(2),
+                            text_mean=np.array([0.1, math.nan, 0.3]), text_var=np.full(3, 0.5))
+        with pytest.raises(ValueError, match="^state 0: text_mean must be finite$"):
+            ShmmModel(n_states=1, pi=np.array([1.0]), trans=np.array([[1.0]]), states=[state],
+                      config=EmissionConfig.ghmm(), embedding_dim=3)
 
     def test_vmf_state_without_text_is_rejected(self):
         doc = model_to_dict(random_model(3, 5, np.random.default_rng(15)))
