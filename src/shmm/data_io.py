@@ -61,9 +61,13 @@ def parse_timestamp(value) -> float:
     return dt.timestamp()
 
 
-def to_time_of_day(t_abs: float, utc_offset_s: float) -> float:
+def check_utc_offset(utc_offset_s: float) -> None:
     if not math.isfinite(utc_offset_s):
         raise ValueError(f"utc_offset must be finite, got {utc_offset_s!r}")
+
+
+def to_time_of_day(t_abs: float, utc_offset_s: float) -> float:
+    check_utc_offset(utc_offset_s)
     return (t_abs + utc_offset_s) % SECONDS_PER_DAY
 
 
@@ -123,6 +127,11 @@ class SegmentationResult:
     n_dropped_records: int
 
 
+def check_delta_t(delta_t: float) -> None:
+    if not delta_t >= 0.0:  # also false for NaN
+        raise ValueError(f"delta_t must be a number >= 0, got {delta_t!r}")
+
+
 def segment_history(
     records: Sequence[SemanticRecord],
     delta_t: float = DEFAULT_DELTA_T,
@@ -135,8 +144,7 @@ def segment_history(
     record count is reported so callers can account for every input
     record).  delta_t must be a number >= 0.
     """
-    if not delta_t >= 0.0:  # also false for NaN
-        raise ValueError(f"delta_t must be a number >= 0, got {delta_t!r}")
+    check_delta_t(delta_t)
     for a, b in zip(records, records[1:]):
         if b.t_abs < a.t_abs:
             raise ValueError("records must be sorted by t_abs")
@@ -361,13 +369,7 @@ def evaluate_prediction(
 
 
 def write_corpus(traces: Sequence[Trace], path) -> None:
-    """One trace per NDJSON line, embeddings attached.
-
-    An empty trace raises ValueError naming its position, before the file is opened.
-    """
-    for i, trace in enumerate(traces):
-        if len(trace) == 0:
-            raise ValueError(f"trace {i}: trace is empty")
+    """One trace per NDJSON line, embeddings attached; `user_id` is the first record's."""
     with _open_text(path, "wt") as fh:
         for trace in traces:
             doc = {
@@ -388,12 +390,14 @@ def write_corpus(traces: Sequence[Trace], path) -> None:
 
 
 def _trace_from_doc(doc) -> Trace:
+    """Numbers and user_id are read as `_raw_record` reads them."""
+    user_id = str(doc["user_id"])
     return Trace([
         SemanticRecord(
-            user_id=doc["user_id"],
-            t_abs=float(r["t_abs"]),
-            t_day=float(r["t_day"]),
-            loc=np.array([r["lon"], r["lat"]], dtype=float),
+            user_id=user_id,
+            t_abs=_number(r, "t_abs"),
+            t_day=_number(r, "t_day"),
+            loc=np.array([_number(r, "lon"), _number(r, "lat")]),
             embedding=np.array(r["embedding"], dtype=float),
             raw_text=r.get("text"),
         )

@@ -296,39 +296,28 @@ class _CorpusBundle:
 def _bundle_corpus(corpus: Sequence[Trace]) -> _CorpusBundle:
     """Flat record arrays of a corpus, stacked in one pass: the one place a fit reads traces.
 
-    The first record sets the embedding dimension; an empty trace or one of
-    another dimension raises, named by its position.
+    The first record sets the embedding dimension; a trace of another
+    dimension raises, named by its position.
     """
     if len(corpus) == 0:
         raise EmptyCorpusError("corpus contains no traces")
-    embedding_dim = len(corpus[0][0].embedding) if len(corpus[0]) else 0
-    for i, trace in enumerate(corpus):
-        _check_trace(trace, embedding_dim, f"trace {i}: ")
+    check_embedding_dims(corpus, len(corpus[0][0].embedding))
     times, locs, embeds = stack_records([r for trace in corpus for r in trace])
     return _CorpusBundle(times, locs, embeds, _pack([len(t) for t in corpus]))
-
-
-def _check_trace(trace: Trace, embedding_dim: int, where: str = "") -> None:
-    """Raise for an empty trace or one of a foreign dim; where prefixes the message.
-
-    Reads the first record only: a `Trace` holds one embedding length.
-    """
-    if len(trace) == 0:
-        raise ValueError(f"{where}trace is empty")
-    dim = len(trace[0].embedding)
-    if dim != embedding_dim:
-        raise DimensionMismatchError(f"{where}trace embedding dim {dim} != model {embedding_dim}")
 
 
 def check_embedding_dims(corpus: Sequence[Trace], embedding_dim: int) -> None:
     """Raise DimensionMismatchError for the first trace of another embedding dim.
 
     The message names the trace by position, as in `trace 7: trace
-    embedding dim 5 != model 4`.  Empty traces pass.
+    embedding dim 5 != model 4`.  Reads each trace's first record only: a
+    `Trace` holds at least one record and one embedding length.
     """
     for i, trace in enumerate(corpus):
-        if len(trace):
-            _check_trace(trace, embedding_dim, f"trace {i}: ")
+        dim = len(trace[0].embedding)
+        if dim != embedding_dim:
+            raise DimensionMismatchError(
+                f"trace {i}: trace embedding dim {dim} != model {embedding_dim}")
 
 
 def _log_probs(model: ShmmModel):
@@ -341,7 +330,7 @@ def forward_backward(model: ShmmModel, trace: Trace):
 
     Returns (SufficientStats, loglik) with loglik = log p(trace | model).
     """
-    _check_trace(trace, model.embedding_dim)
+    check_embedding_dims([trace], model.embedding_dim)
     gamma, xi_sum, _, loglik, _ = _e_step(model, _bundle_corpus([trace]))
     return SufficientStats(gamma=gamma, xi_sum=xi_sum), loglik
 
@@ -568,7 +557,7 @@ def baum_welch(
 
 def viterbi(model: ShmmModel, trace: Trace) -> np.ndarray:
     """Most likely state path (argmax joint probability; ties -> lowest index)."""
-    _check_trace(trace, model.embedding_dim)
+    check_embedding_dims([trace], model.embedding_dim)
     log_pi, log_a = _log_probs(model)
     log_b = log_emission_matrix(model.states, model.config, *stack_records(trace))
     n_steps, k = log_b.shape
@@ -594,13 +583,12 @@ def score_next(model: ShmmModel, prefix: Trace, candidates: Sequence, k_top: int
     computed in log space, with one emission matrix over the prefix
     records and the candidates.  Returns the top k_top candidates as
     (candidate_index, score) pairs, ranked descending; ties keep input
-    order.
+    order.  The prefix, a `Trace`, holds at least one record; a prefix of
+    another embedding dim raises as `trace 0: ...`.
     """
-    if len(prefix) < 1:
-        raise ValueError("prefix must contain at least one record")
     if len(candidates) == 0:
         raise ValueError("candidates must be non-empty")
-    _check_trace(prefix, model.embedding_dim)
+    check_embedding_dims([prefix], model.embedding_dim)
     if any(len(c.embedding) != model.embedding_dim for c in candidates):
         raise DimensionMismatchError("candidate embedding dimension does not match model")
     log_pi, log_a = _log_probs(model)

@@ -48,17 +48,20 @@ class SemanticRecord:
 
 @dataclass
 class Trace:
-    """Time-ordered records of a single user: non-decreasing t_abs, one embedding length.
+    """Time-ordered records of a single user: at least one record,
+    non-decreasing t_abs, one embedding length.
 
     records is a tuple, so a validated trace cannot grow behind its checks.
     A trace holds only its records; `stack_records(trace)` gives its
     (times, locs, embeddings) columns.
     """
 
-    records: tuple = ()
+    records: tuple
 
     def __post_init__(self):
         self.records = tuple(self.records)
+        if not self.records:
+            raise ValueError("a trace needs at least one record")
         for a, b in zip(self.records, self.records[1:]):
             if b.t_abs < a.t_abs:
                 raise ValueError("trace records must be ordered by t_abs")

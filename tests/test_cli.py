@@ -666,6 +666,17 @@ def _raw_field(key, value):
     return mutate
 
 
+def _corpus_field(key, value):
+    """Mutation: set one field of the first record on the second corpus line."""
+    def mutate(files):
+        lines = files["corpus"].read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc["records"][0][key] = value
+        lines[1] = json.dumps(doc)
+        files["corpus"].write_text("\n".join(lines) + "\n")
+    return mutate
+
+
 _PREPROCESS = "preprocess --input {raw} --embeddings {vectors}"
 _TRAIN = "train --corpus {corpus} --k 2 --max-iters 2"
 _SUMMARIZE = "summarize --model {model} --embeddings {vectors}"
@@ -734,6 +745,17 @@ class TestBadInputs:
                      "utc_offset must be finite, got nan", id="utc-offset-nan"),
         pytest.param(_PREPROCESS + " --delta-t nan", None,
                      "delta_t must be a number >= 0, got nan", id="delta-t-nan"),
+        pytest.param(_PREPROCESS + " --utc-offset nan", _write("raw", ""),
+                     "utc_offset must be finite, got nan", id="empty-input-utc-offset-nan"),
+        pytest.param(_PREPROCESS + " --delta-t nan", _write("raw", ""),
+                     "delta_t must be a number >= 0, got nan", id="empty-input-delta-t-nan"),
+        pytest.param(_PREDICT,
+                     _replace_line("corpus", 3, json.dumps({"user_id": "u", "records": []})),
+                     "{corpus}:3: a trace needs at least one record", id="predict-empty-trace"),
+        pytest.param(_TRAIN, _corpus_field("t_abs", True),
+                     "{corpus}:2: t_abs must be a number, got true", id="corpus-t_abs-bool"),
+        pytest.param(_PREDICT, _corpus_field("lon", True),
+                     "{corpus}:2: lon must be a number, got true", id="corpus-lon-bool"),
         pytest.param(_PREPROCESS, _replace_line("vectors", 2, "espresso nan 0.2 0.1 0.0"),
                      "{vectors}:2: 'espresso' has a non-finite coordinate",
                      id="vectors-nan-coordinate"),

@@ -524,6 +524,9 @@ class TestTimestampsAndPersistence:
                      "embedding must be unit norm", id="non-unit-embedding"),
         pytest.param(lambda doc: doc["records"][0].update(lon="east"), "could not convert",
                      id="bad-value"),
+        *[pytest.param(lambda doc, name=name: doc["records"][0].update({name: True}),
+                       f"{name} must be a number, got true$", id=f"{name}-bool")
+          for name in ("t_abs", "t_day", "lon", "lat")],
     ])
     def test_bad_record_is_located(self, tmp_path, edit, message):
         path = tmp_path / "corpus.ndjson"
@@ -559,13 +562,25 @@ class TestTimestampsAndPersistence:
         assert str(info.value) == f"{path}:2: t_abs must be finite, got nan"
 
     @pytest.mark.parametrize("position", [0, 2])
-    def test_writing_an_empty_trace_names_it(self, tmp_path, position):
-        traces = [Trace([make_record(0.0), make_record(50.0)]) for _ in range(3)]
-        traces[position] = Trace([])
+    def test_reading_an_empty_trace_names_its_line(self, tmp_path, position):
         path = tmp_path / "corpus.ndjson"
-        with pytest.raises(ValueError, match=f"^trace {position}: trace is empty$"):
-            write_corpus(traces, path)
-        assert not path.exists()
+        write_corpus([Trace([make_record(0.0), make_record(50.0)])] * 3, path)
+        lines = path.read_text().splitlines()
+        lines[position] = json.dumps({"user_id": "u", "records": []})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_corpus(path)
+        assert str(info.value) == f"{path}:{position + 1}: a trace needs at least one record"
+
+    def test_user_id_is_read_as_text(self, tmp_path):
+        path = tmp_path / "corpus.ndjson"
+        write_corpus([Trace([make_record(0.0), make_record(50.0)])], path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(doc, user_id=5)) + "\n")
+        loaded = read_corpus(path)
+        assert [r.user_id for r in loaded[0]] == ["5", "5"]
+        write_corpus(loaded, path)
+        assert json.loads(path.read_text())["user_id"] == "5"
 
     def test_invalid_json_is_located(self, tmp_path):
         path = tmp_path / "corpus.ndjson"

@@ -5,6 +5,7 @@ state paths.
 """
 
 import itertools
+import json
 import math
 import re
 
@@ -15,6 +16,7 @@ from scipy.optimize import linear_sum_assignment
 from _helpers import random_model, random_trace, unit
 from shmm.emission import EmissionConfig, StateParams, log_emission
 from shmm.hmm_core import (
+    DimensionMismatchError,
     EmptyCorpusError,
     KMeansInit,
     NonFiniteLikelihoodError,
@@ -22,6 +24,7 @@ from shmm.hmm_core import (
     StopCriteria,
     SufficientStats,
     baum_welch,
+    check_embedding_dims,
     forward_backward,
     load_model,
     model_from_dict,
@@ -338,12 +341,22 @@ class TestBaumWelch:
             baum_welch(corpus, 2, EmissionConfig.shmm())
 
     @pytest.mark.parametrize("position", [0, 3])
-    def test_empty_trace_is_named(self, position):
+    def test_empty_trace_is_named(self, tmp_path, capsys, position):
+        from shmm.cli import main
+        from shmm.data_io import write_corpus
+
         rng = np.random.default_rng(31)
-        corpus = [random_trace(3, 4, rng) for _ in range(5)]
-        corpus[position] = Trace([])
-        with pytest.raises(ValueError, match=f"^trace {position}: trace is empty$"):
-            baum_welch(corpus, 2, EmissionConfig.shmm())
+        corpus_path, model_path = tmp_path / "corpus.ndjson", tmp_path / "model.json"
+        write_corpus([random_trace(3, 4, rng) for _ in range(5)], corpus_path)
+        lines = corpus_path.read_text().splitlines()
+        lines[position] = json.dumps({"user_id": "u", "records": []})
+        corpus_path.write_text("\n".join(lines) + "\n")
+        save_model(random_model(2, 4, rng), model_path)
+        for argv in (["train", "--k", "2"], ["predict", "--model", str(model_path)]):
+            rc = main([*argv, "--corpus", str(corpus_path), "--output-dir", str(tmp_path / "out")])
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                f"error: {corpus_path}:{position + 1}: a trace needs at least one record\n")
 
     def test_initial_model_of_another_dim_fails_before_the_e_step(self, monkeypatch):
         from shmm import hmm_core
@@ -428,6 +441,30 @@ class TestCorpusBundle:
         assert isinstance(trace.records, tuple)
         with pytest.raises(AttributeError):
             trace.records.append(trace[0])
+
+    @pytest.mark.parametrize("records", [[], ()], ids=["list", "tuple"])
+    def test_trace_needs_a_record(self, records):
+        with pytest.raises(ValueError, match="^a trace needs at least one record$"):
+            Trace(records)
+
+    def test_check_embedding_dims_names_the_first_foreign_trace(self):
+        rng = np.random.default_rng(35)
+        corpus = [random_trace(2, 4, rng) for _ in range(6)]
+        corpus[2] = random_trace(3, 5, rng)
+        corpus[4] = random_trace(1, 3, rng)
+        check_embedding_dims(corpus[:2], 4)
+        with pytest.raises(DimensionMismatchError,
+                           match="^trace 2: trace embedding dim 5 != model 4$"):
+            check_embedding_dims(corpus, 4)
+
+    @pytest.mark.parametrize("call", [
+        forward_backward, viterbi, lambda model, trace: score_next(model, trace, trace.records, 1),
+    ], ids=["forward_backward", "viterbi", "score_next"])
+    def test_single_trace_callers_name_trace_0(self, call):
+        rng = np.random.default_rng(36)
+        with pytest.raises(DimensionMismatchError,
+                           match="^trace 0: trace embedding dim 5 != model 4$"):
+            call(random_model(2, 4, rng), random_trace(3, 5, rng))
 
     def test_trace_rejects_mixed_embedding_lengths(self):
         rng = np.random.default_rng(33)
