@@ -1,8 +1,8 @@
 """Command-line pipeline: preprocess, train, summarize, predict, synth.
 
 Every command is a pure function of its inputs, configuration and seeds
-(--seed: train, predict and synth): identical invocations produce
-byte-identical outputs except for wall-clock timing fields.  A JSON
+(--seed, an integer >= 0: train, predict and synth): identical invocations
+produce byte-identical outputs except for wall-clock timing fields.  A JSON
 --config file may set any option of the subcommand (keys named like the
 long flags with underscores; other keys are errors), each value read by
 its flag's type as the text after the flag (2.7, true or [1] for an int
@@ -359,6 +359,8 @@ def main(argv=None) -> int:
         missing = [dest for dest, value in vars(args).items() if value is _REQUIRED]
         if missing:
             raise SystemExit(f"missing required option --{missing[0].replace('_', '-')}")
+        if getattr(args, "seed", 0) < 0:  # checked before any input is read
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         command = {"preprocess": cmd_preprocess, "train": cmd_train, "summarize": cmd_summarize,
                    "predict": cmd_predict, "synth": cmd_synth}[args.command]
         return command(args)

@@ -273,6 +273,13 @@ def _check_pool_params(dist_thresh: float, time_thresh: float, pool_size: int) -
         raise ValueError(f"pool_size must be >= 2, got {pool_size!r}")
 
 
+def _check_test_traces(test: Sequence[Trace]) -> None:
+    """Raise ValueError naming the first test trace with fewer than 2 records."""
+    for i, trace in enumerate(test):
+        if len(trace) < 2:
+            raise ValueError(f"trace {i}: test trace must have at least 2 records")
+
+
 def build_candidate_pool(
     test_trace: Trace,
     all_records: RecordIndex,
@@ -322,9 +329,14 @@ def build_pools(
     pool_size: int = DEFAULT_POOL_SIZE,
     seed: int = 0,
 ) -> list[CandidatePool]:
-    """One pool per test trace, with a per-trace derived seed (seed ^ index)."""
+    """One pool per test trace, with a per-trace derived seed (seed ^ index).
+
+    Every trace is checked before any pool is built; a trace shorter than 2
+    raises ValueError naming its position.
+    """
     # build_candidate_pool checks each call; this is for an empty test list.
     _check_pool_params(dist_thresh, time_thresh, pool_size)
+    _check_test_traces(test)
     return [
         build_candidate_pool(
             trace, all_records, dist_thresh, time_thresh, pool_size, seed=seed ^ i
@@ -342,8 +354,10 @@ def evaluate_prediction(
 ) -> dict[int, float]:
     """accuracy@K of next-record ranking over aligned (trace, pool) pairs.
 
-    Every cutoff K must be >= 1.  score_fn defaults to hmm_core.score_next
-    and exists so tests can substitute reference scorers.
+    Every cutoff K must be >= 1, and every test trace must hold at least 2
+    records (a shorter one raises ValueError naming its position).
+    score_fn defaults to hmm_core.score_next and exists so tests can
+    substitute reference scorers.
     """
     for k in k_list:
         if k < 1:
@@ -352,6 +366,7 @@ def evaluate_prediction(
         raise ValueError("pools must align one-to-one with test traces")
     if len(test) == 0:
         raise ValueError("nothing to evaluate")
+    _check_test_traces(test)
     if score_fn is None:
         score_fn = score_next
     ranks = []
@@ -380,7 +395,7 @@ def write_corpus(traces: Sequence[Trace], path) -> None:
                         "t_day": r.t_day,
                         "lon": float(r.loc[0]),
                         "lat": float(r.loc[1]),
-                        "embedding": [float(x) for x in r.embedding],
+                        "embedding": r.embedding.tolist(),
                         "text": r.raw_text,
                     }
                     for r in trace
@@ -389,8 +404,16 @@ def write_corpus(traces: Sequence[Trace], path) -> None:
             fh.write(json.dumps(doc) + "\n")
 
 
+def _embedding(doc) -> np.ndarray:
+    """doc["embedding"] as a float array; a JSON boolean coordinate raises ValueError."""
+    value = doc["embedding"]
+    if isinstance(value, list) and bool in map(type, value):
+        raise ValueError("embedding coordinates must be numbers, got a JSON boolean")
+    return np.array(value, dtype=float)
+
+
 def _trace_from_doc(doc) -> Trace:
-    """Numbers and user_id are read as `_raw_record` reads them."""
+    """Numbers, user_id and text are read as `_raw_record` reads them; a null text stays null."""
     user_id = str(doc["user_id"])
     return Trace([
         SemanticRecord(
@@ -398,8 +421,8 @@ def _trace_from_doc(doc) -> Trace:
             t_abs=_number(r, "t_abs"),
             t_day=_number(r, "t_day"),
             loc=np.array([_number(r, "lon"), _number(r, "lat")]),
-            embedding=np.array(r["embedding"], dtype=float),
-            raw_text=r.get("text"),
+            embedding=_embedding(r),
+            raw_text=None if r.get("text") is None else str(r["text"]),
         )
         for r in doc["records"]
     ])

@@ -21,10 +21,14 @@ The Gaussian text term uses the expanded quadratic
 sum_j x_j^2/v_j - 2 x_j m_j/v_j + m_j^2/v_j, i.e. two such products,
 rather than the direct (x - m)^2/v, which would need an (N, K, p)
 temporary.  `log_emission` is the 1 x 1 case of the same matrix.
+
+This is the one module that reads a state's text fields: it also checks,
+re-seeds and serializes states.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -43,6 +47,9 @@ VAR_FLOOR = 1e-6
 #: Total responsibility below which a state counts as dead; `m_step_state`
 #: raises EmptyStateError for it and the EM loop re-seeds the state.
 DEAD_STATE_WEIGHT = 1e-8
+
+#: Concentration assigned to a re-seeded state's text component.
+RESEED_KAPPA = 1.0
 
 TEXT_MODELS = ("vmf", "gaussian", "none")
 
@@ -152,6 +159,31 @@ def check_positive_definite(cov_l: np.ndarray) -> np.ndarray:
     if not_pd.size:
         raise ValueError(f"cov_l of state {not_pd[0]} is not positive definite")
     return det
+
+
+def check_states(states: Sequence[StateParams], config: EmissionConfig,
+                 embedding_dim: int) -> None:
+    """Raise ValueError naming the first state with a non-finite parameter,
+    without the text parameters config.text_model needs in dimension
+    embedding_dim, or with a cov_l that is not positive definite."""
+    p, text_model = embedding_dim, config.text_model
+    for j, s in enumerate(states):
+        for name in ("mu_t", "sigma_t", "mu_l", "cov_l", "text_mean"):
+            value = getattr(s, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"state {j}: {name} must be finite")
+        if text_model == "vmf" and (s.text is None or s.text.p != p):
+            raise ValueError(f"state {j}: text_model 'vmf' needs vMF text parameters "
+                             f"of dimension {p}")
+        if text_model == "gaussian" and not (
+            np.shape(s.text_mean) == (p,) and np.shape(s.text_var) == (p,)
+            and np.all((s.text_var > 0.0) & (s.text_var < np.inf))
+        ):
+            raise ValueError(
+                f"state {j}: text_model 'gaussian' needs text_mean and positive finite "
+                f"text_var of shape ({p},)"
+            )
+    check_positive_definite(np.array([s.cov_l for s in states]))
 
 
 def log_emission_matrix(
@@ -269,3 +301,51 @@ def m_step_state(
         text_mean=text_mean,
         text_var=text_var,
     )
+
+
+def seed_state(time: float, loc: np.ndarray, embed: np.ndarray,
+               config: EmissionConfig) -> StateParams:
+    """A state centered on one record, to replace a dead state: its spreads
+    are the floors, and its vMF text has concentration RESEED_KAPPA."""
+    text = text_mean = text_var = None
+    if config.text_model == "vmf":
+        text = VmfParams(mu=embed / np.linalg.norm(embed), kappa=RESEED_KAPPA, p=len(embed))
+    elif config.text_model == "gaussian":
+        text_mean = embed.copy()
+        text_var = np.full(len(embed), config.var_floor)
+    return StateParams(mu_t=float(time), sigma_t=config.sigma_t_floor, mu_l=loc.copy(),
+                       cov_l=config.var_floor * np.eye(2), text=text, text_mean=text_mean,
+                       text_var=text_var)
+
+
+def state_to_dict(state: StateParams) -> dict:
+    """JSON-ready document of one state; floats keep full double precision."""
+    text, gaussian = state.text, state.text_mean is not None
+    return {
+        "mu_t": float(state.mu_t),
+        "sigma_t": float(state.sigma_t),
+        "mu_l": state.mu_l.tolist(),
+        "cov_l": state.cov_l.tolist(),
+        "text": None if text is None else {"mu": text.mu.tolist(), "kappa": float(text.kappa)},
+        "text_mean": state.text_mean.tolist() if gaussian else None,
+        "text_var": state.text_var.tolist() if gaussian else None,
+    }
+
+
+def state_from_dict(doc: dict, embedding_dim: int) -> StateParams:
+    """The state a `state_to_dict` document describes; a missing key raises KeyError."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"a state must be a JSON object, got {json.dumps(doc)}")
+    text = None
+    if doc.get("text") is not None:
+        text = VmfParams(
+            mu=np.array(doc["text"]["mu"], dtype=float),
+            kappa=float(doc["text"]["kappa"]),
+            p=embedding_dim,
+        )
+    text_mean = None if doc.get("text_mean") is None else np.array(doc["text_mean"], dtype=float)
+    text_var = None if doc.get("text_var") is None else np.array(doc["text_var"], dtype=float)
+    return StateParams(mu_t=float(doc["mu_t"]), sigma_t=float(doc["sigma_t"]),
+                       mu_l=np.array(doc["mu_l"], dtype=float),
+                       cov_l=np.array(doc["cov_l"], dtype=float),
+                       text=text, text_mean=text_mean, text_var=text_var)

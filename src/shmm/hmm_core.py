@@ -28,7 +28,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -38,19 +38,18 @@ from .emission import (
     EmissionConfig,
     EmptyStateError,
     StateParams,
-    check_positive_definite,
+    check_states,
     log_emission_matrix,
     m_step_state,
+    seed_state,
+    state_from_dict,
+    state_to_dict,
 )
 from .records import Trace, stack_records
-from .vmf import VmfParams
 
 #: Additive probability floor applied to pi and every transition row each
 #: M-step (then renormalized); prevents log(0) on unseen transitions.
 PROB_SMOOTHING = 1e-6
-
-#: Concentration assigned to a re-seeded state's text component.
-RESEED_KAPPA = 1.0
 
 #: Relative fall in corpus log-likelihood between EM iterations beyond which
 #: `baum_welch` logs a warning (smoothing may cost less than this).
@@ -95,31 +94,13 @@ class ShmmModel:
             raise ValueError("pi must be (K,) and trans (K, K)")
         if len(self.states) != k:
             raise ValueError("need exactly K per-state parameter sets")
-        if np.any(self.pi < 0.0) or np.any(self.trans < 0.0):
+        if not (np.all(self.pi >= 0.0) and np.all(self.trans >= 0.0)):  # false for NaN
             raise ValueError("probabilities must be non-negative")
-        if abs(self.pi.sum() - 1.0) > 1e-9:
+        if not abs(self.pi.sum() - 1.0) <= 1e-9:
             raise ValueError("pi must sum to 1")
-        if np.max(np.abs(self.trans.sum(axis=1) - 1.0)) > 1e-9:
+        if not np.max(np.abs(self.trans.sum(axis=1) - 1.0)) <= 1e-9:
             raise ValueError("every transition row must sum to 1")
-        p, text_model = self.embedding_dim, self.config.text_model
-        for j, s in enumerate(self.states):
-            for name in ("mu_t", "sigma_t", "mu_l", "cov_l", "text_mean"):
-                value = getattr(s, name)
-                if value is not None and not np.all(np.isfinite(value)):
-                    raise ValueError(f"state {j}: {name} must be finite")
-            if text_model == "vmf" and (s.text is None or s.text.p != p):
-                raise ValueError(
-                    f"state {j}: text_model 'vmf' needs vMF text parameters of dimension {p}"
-                )
-            if text_model == "gaussian" and not (
-                np.shape(s.text_mean) == (p,) and np.shape(s.text_var) == (p,)
-                and np.all(s.text_var > 0.0)
-            ):
-                raise ValueError(
-                    f"state {j}: text_model 'gaussian' needs text_mean and positive text_var "
-                    f"of shape ({p},)"
-                )
-        check_positive_definite(np.array([s.cov_l for s in self.states]))
+        check_states(self.states, self.config, self.embedding_dim)
 
 
 @dataclass
@@ -353,29 +334,14 @@ def _smooth(raw: np.ndarray) -> np.ndarray:
     return probs / probs.sum()
 
 
-def _reseed_state(bundle: _CorpusBundle, log_b_all: np.ndarray, config: EmissionConfig,
-                  embedding_dim: int) -> StateParams:
+def _reseed_state(bundle: _CorpusBundle, log_b_all: np.ndarray,
+                  config: EmissionConfig) -> StateParams:
     """Replacement parameters for a dead state, centered on the record the
     current model explains worst."""
     k = log_b_all.shape[1]
     score = _logsumexp(log_b_all, axis=1) - math.log(k)
     worst = int(np.argmin(score))
-    text = text_mean = text_var = None
-    if config.text_model == "vmf":
-        mu = bundle.embeds[worst]
-        text = VmfParams(mu=mu / np.linalg.norm(mu), kappa=RESEED_KAPPA, p=embedding_dim)
-    elif config.text_model == "gaussian":
-        text_mean = bundle.embeds[worst].copy()
-        text_var = np.full(embedding_dim, config.var_floor)
-    return StateParams(
-        mu_t=float(bundle.times[worst]),
-        sigma_t=config.sigma_t_floor,
-        mu_l=bundle.locs[worst].copy(),
-        cov_l=config.var_floor * np.eye(2),
-        text=text,
-        text_mean=text_mean,
-        text_var=text_var,
-    )
+    return seed_state(bundle.times[worst], bundle.locs[worst], bundle.embeds[worst], config)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +492,7 @@ def baum_welch(
                     m_step_state(bundle.times, bundle.locs, bundle.embeds, gamma_all[:, j], config)
                 )
             except EmptyStateError:
-                states.append(_reseed_state(bundle, log_b_all, config, embedding_dim))
+                states.append(_reseed_state(bundle, log_b_all, config))
         pi = _smooth(gamma0)
         trans = np.vstack([_smooth(xi_sum[j]) for j in range(k)])
         model = ShmmModel(
@@ -608,65 +574,17 @@ def score_next(model: ShmmModel, prefix: Trace, candidates: Sequence, k_top: int
 # serialization
 
 
-def _state_to_dict(state: StateParams) -> dict:
-    doc = {
-        "mu_t": float(state.mu_t),
-        "sigma_t": float(state.sigma_t),
-        "mu_l": [float(x) for x in state.mu_l],
-        "cov_l": [[float(x) for x in row] for row in state.cov_l],
-        "text": None,
-        "text_mean": None,
-        "text_var": None,
-    }
-    if state.text is not None:
-        doc["text"] = {"mu": [float(x) for x in state.text.mu], "kappa": float(state.text.kappa)}
-    if state.text_mean is not None:
-        doc["text_mean"] = [float(x) for x in state.text_mean]
-        doc["text_var"] = [float(x) for x in state.text_var]
-    return doc
-
-
-def _state_from_dict(doc: dict, embedding_dim: int) -> StateParams:
-    if not isinstance(doc, dict):
-        raise TypeError(f"a state must be a JSON object, got {json.dumps(doc)}")
-    text = None
-    if doc.get("text") is not None:
-        text = VmfParams(
-            mu=np.array(doc["text"]["mu"], dtype=float),
-            kappa=float(doc["text"]["kappa"]),
-            p=embedding_dim,
-        )
-    text_mean = None if doc.get("text_mean") is None else np.array(doc["text_mean"], dtype=float)
-    text_var = None if doc.get("text_var") is None else np.array(doc["text_var"], dtype=float)
-    return StateParams(
-        mu_t=float(doc["mu_t"]),
-        sigma_t=float(doc["sigma_t"]),
-        mu_l=np.array(doc["mu_l"], dtype=float),
-        cov_l=np.array(doc["cov_l"], dtype=float),
-        text=text,
-        text_mean=text_mean,
-        text_var=text_var,
-    )
-
-
 def model_to_dict(model: ShmmModel) -> dict:
     """Versioned JSON-ready document; floats keep full double precision."""
-    cfg = model.config
     return {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
         "n_states": model.n_states,
         "embedding_dim": model.embedding_dim,
-        "config": {
-            "use_time": cfg.use_time,
-            "use_location": cfg.use_location,
-            "text_model": cfg.text_model,
-            "sigma_t_floor": cfg.sigma_t_floor,
-            "var_floor": cfg.var_floor,
-        },
-        "pi": [float(x) for x in model.pi],
-        "trans": [[float(x) for x in row] for row in model.trans],
-        "states": [_state_to_dict(s) for s in model.states],
+        "config": asdict(model.config),
+        "pi": model.pi.tolist(),
+        "trans": model.trans.tolist(),
+        "states": [state_to_dict(s) for s in model.states],
     }
 
 
@@ -686,7 +604,7 @@ def model_from_dict(doc: dict) -> ShmmModel:
         n_states=int(doc["n_states"]),
         pi=np.array(doc["pi"], dtype=float),
         trans=np.array(doc["trans"], dtype=float),
-        states=[_state_from_dict(s, embedding_dim) for s in doc["states"]],
+        states=[state_from_dict(s, embedding_dim) for s in doc["states"]],
         config=config,
         embedding_dim=embedding_dim,
     )

@@ -21,7 +21,8 @@ class SemanticRecord:
 
     t_abs must be finite; t_day is in seconds since local midnight,
     [0, 86400).  loc is (lon, lat) in degrees by default (a dataset config
-    may use projected meters instead).  embedding must be unit norm within 1e-9.
+    may use projected meters instead).  embedding must be a vector (1-D) of
+    unit norm within 1e-9.
     raw_text is optional and only carried along for reports.
     """
 
@@ -41,6 +42,8 @@ class SemanticRecord:
             raise ValueError(f"t_day must lie in [0, 86400), got {self.t_day!r}")
         if self.loc.shape != (2,) or not np.all(np.isfinite(self.loc)):
             raise ValueError("loc must be a finite 2-vector")
+        if self.embedding.ndim != 1:
+            raise ValueError(f"embedding must be a vector, got shape {self.embedding.shape}")
         norm = float(np.linalg.norm(self.embedding))
         if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"embedding must be unit norm, got ||e|| = {norm!r}")

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -657,6 +658,18 @@ def _replace_line(name, lineno, line):
     return mutate
 
 
+def _as_ghmm(text_var):
+    """Edit: make the model a `ghmm` one, each state's text mean its vMF mean
+    direction and its text variance 0.5, but text_var for state 1."""
+    def edit(doc):
+        doc["config"]["text_model"] = "gaussian"
+        for j, state in enumerate(doc["states"]):
+            mean = state.pop("text")["mu"]
+            state.update(text=None, text_mean=mean,
+                         text_var=[0.5 if j != 1 else text_var] * len(mean))
+    return edit
+
+
 def _raw_field(key, value):
     """Mutation: set one field of the second raw record."""
     def mutate(files):
@@ -727,6 +740,14 @@ class TestBadInputs:
                      _edit_model(lambda d: d["states"][1].update(cov_l=[[1.0, 2.0], [2.0, 1.0]])),
                      "{model}: cov_l of state 1 is not positive definite",
                      id="model-cov_l-not-positive-definite"),
+        pytest.param(_PREDICT, _edit_model(lambda d: d.update(pi=[math.nan, math.nan])),
+                     "{model}: probabilities must be non-negative", id="model-nan-pi"),
+        pytest.param(_PREDICT,
+                     _edit_model(lambda d: d["trans"].__setitem__(1, [math.nan, math.nan])),
+                     "{model}: probabilities must be non-negative", id="model-nan-trans-row"),
+        pytest.param(_PREDICT, _edit_model(_as_ghmm(text_var=math.inf)),
+                     "{model}: state 1: text_model 'gaussian' needs text_mean and positive "
+                     "finite text_var of shape \\(4,\\)", id="model-ghmm-infinite-text_var"),
         pytest.param("--config {config} " + _TRAIN, _write("config", "{not json"),
                      "{config}: invalid JSON: .+", id="config-invalid-json"),
         pytest.param("--config {config} " + _TRAIN, _write("config", "[1, 2]"),
@@ -756,6 +777,21 @@ class TestBadInputs:
                      "{corpus}:2: t_abs must be a number, got true", id="corpus-t_abs-bool"),
         pytest.param(_PREDICT, _corpus_field("lon", True),
                      "{corpus}:2: lon must be a number, got true", id="corpus-lon-bool"),
+        pytest.param(_TRAIN, _corpus_field("embedding", [[0.6, 0.8, 0.0, 0.0]]),
+                     "{corpus}:2: embedding must be a vector, got shape \\(1, 4\\)",
+                     id="corpus-embedding-2d"),
+        pytest.param(_TRAIN, _corpus_field("embedding", 1.0),
+                     "{corpus}:2: embedding must be a vector, got shape \\(\\)",
+                     id="corpus-embedding-scalar"),
+        pytest.param(_TRAIN, _corpus_field("embedding", [True, False, False, False]),
+                     "{corpus}:2: embedding coordinates must be numbers, got a JSON boolean",
+                     id="corpus-embedding-bool"),
+        pytest.param(_TRAIN + " --seed -1", None, "--seed must be >= 0, got -1",
+                     id="train-seed-negative"),
+        pytest.param(_PREDICT + " --seed -1", None, "--seed must be >= 0, got -1",
+                     id="predict-seed-negative"),
+        pytest.param("--config {config} " + _PREDICT, _write("config", '{"seed": -2}'),
+                     "--seed must be >= 0, got -2", id="config-seed-negative"),
         pytest.param(_PREPROCESS, _replace_line("vectors", 2, "espresso nan 0.2 0.1 0.0"),
                      "{vectors}:2: 'espresso' has a non-finite coordinate",
                      id="vectors-nan-coordinate"),

@@ -23,6 +23,7 @@ from shmm.data_io import (
     write_corpus,
 )
 from shmm.records import SemanticRecord, Trace, stack_records
+from shmm.synth import planted_model, sample_corpus
 
 import _pool_reference
 
@@ -467,6 +468,27 @@ class TestEvaluatePrediction:
         with pytest.raises(ValueError):
             evaluate_prediction(None, tests, pools[:-1], [1])
 
+    def test_short_test_trace_is_named_before_any_scoring(self):
+        tests, pools = self._setup(3)
+        tests[1] = Trace([make_record(0.0)])
+        calls = []
+
+        def stub(model, prefix, candidates, k_top):
+            calls.append(prefix)
+            return [(i, 0.0) for i in range(k_top)]
+
+        with pytest.raises(ValueError,
+                           match="^trace 1: test trace must have at least 2 records$"):
+            evaluate_prediction(None, tests, pools, [1], score_fn=stub)
+        assert calls == []
+
+    def test_short_test_trace_is_named_before_any_pool(self):
+        tests = [Trace([make_record(0.0), make_record(10.0)]), Trace([make_record(20.0)])]
+        index = RecordIndex.from_traces(tests)
+        with pytest.raises(ValueError,
+                           match="^trace 1: test trace must have at least 2 records$"):
+            build_pools(tests, index, 3500.0, 300.0)
+
 
 class TestTimestampsAndPersistence:
     def test_parse_epoch_and_iso(self):
@@ -527,6 +549,13 @@ class TestTimestampsAndPersistence:
         *[pytest.param(lambda doc, name=name: doc["records"][0].update({name: True}),
                        f"{name} must be a number, got true$", id=f"{name}-bool")
           for name in ("t_abs", "t_day", "lon", "lat")],
+        pytest.param(lambda doc: doc["records"][0].update(embedding=[[1.0, 0.0, 0.0]]),
+                     r"embedding must be a vector, got shape \(1, 3\)$", id="embedding-2d"),
+        pytest.param(lambda doc: doc["records"][0].update(embedding=1.0),
+                     r"embedding must be a vector, got shape \(\)$", id="embedding-scalar"),
+        pytest.param(lambda doc: doc["records"][0].update(embedding=[True, False, False]),
+                     "embedding coordinates must be numbers, got a JSON boolean$",
+                     id="embedding-bool"),
     ])
     def test_bad_record_is_located(self, tmp_path, edit, message):
         path = tmp_path / "corpus.ndjson"
@@ -581,6 +610,24 @@ class TestTimestampsAndPersistence:
         assert [r.user_id for r in loaded[0]] == ["5", "5"]
         write_corpus(loaded, path)
         assert json.loads(path.read_text())["user_id"] == "5"
+
+    def test_text_is_read_as_text_and_null_stays_null(self, tmp_path):
+        path = tmp_path / "corpus.ndjson"
+        write_corpus([Trace([make_record(0.0), make_record(50.0)])], path)
+        doc = json.loads(path.read_text())
+        doc["records"][0]["text"] = 5
+        path.write_text(json.dumps(doc) + "\n")
+        loaded = read_corpus(path)
+        assert [r.raw_text for r in loaded[0]] == ["5", None]
+        write_corpus(loaded, path)
+        assert [r["text"] for r in json.loads(path.read_text())["records"]] == ["5", None]
+
+    def test_written_corpus_reads_back_and_writes_out_byte_identical(self, tmp_path):
+        model = planted_model(3, 5, seed=8)
+        first, second = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
+        write_corpus(sample_corpus(model, 6, 4, seed=9), first)
+        write_corpus(read_corpus(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_invalid_json_is_located(self, tmp_path):
         path = tmp_path / "corpus.ndjson"
