@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data_io, synth, text_embed
-from .emission import SIGMA_T_FLOOR, VAR_FLOOR, EmissionConfig
+from .emission import SIGMA_T_FLOOR, VAR_FLOOR, EmissionConfig, text_direction
 from .hmm_core import (
     KMeansInit,
     NonFiniteLikelihoodError,
@@ -253,13 +253,10 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         )
     rows = []
     for j, state in enumerate(model.states):
-        if state.text is not None:
-            kappa = f"{float(state.text.kappa)!r}"
-            keywords = " ".join(text_embed.nearest_keywords(
-                state.text.mu, table, min(args.k_keywords, len(table.vocabulary))
-            ))
-        else:
-            kappa, keywords = "", ""
+        direction, kappa = text_direction(state, model.config)
+        keywords = "" if direction is None else " ".join(text_embed.nearest_keywords(
+            direction, table, min(args.k_keywords, len(table.vocabulary))
+        ))
         order = np.argsort(-model.trans[j], kind="stable")[:5]
         transitions = "|".join(f"{int(z)}:{model.trans[j, z]:.6f}" for z in order)
         rows.append(
@@ -269,7 +266,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
                 f"{float(state.mu_l[1])!r}",
                 f"{float(state.mu_t)!r}",
                 f"{float(state.sigma_t)!r}",
-                kappa,
+                "" if kappa is None else f"{kappa!r}",
                 keywords,
                 transitions,
             )

@@ -23,7 +23,9 @@ rather than the direct (x - m)^2/v, which would need an (N, K, p)
 temporary.  `log_emission` is the 1 x 1 case of the same matrix.
 
 This is the one module that reads a state's text fields: it also checks,
-re-seeds and serializes states.
+re-seeds and serializes states, draws records from them
+(`sample_emissions`) and names each state's text direction
+(`text_direction`).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .records import stack_records
-from .vmf import VmfParams, fit_vmf, vmf_log_norm_const
+from .vmf import VmfParams, fit_vmf, sample_vmf, vmf_log_norm_const
 
 #: Lower bound on the time-of-day standard deviation, seconds.
 SIGMA_T_FLOOR = 60.0
@@ -243,6 +245,47 @@ def log_emission_matrix(
 def log_emission(state: StateParams, config: EmissionConfig, record) -> float:
     """Log emission density of a single record under one state."""
     return float(log_emission_matrix([state], config, *stack_records([record]))[0, 0])
+
+
+def sample_emissions(states: Sequence[StateParams], config: EmissionConfig,
+                     labels: np.ndarray, rng: np.random.Generator):
+    """(times, locs, embeds) of one record drawn per entry of labels, the
+    state that emits it.
+
+    All three modalities are drawn whatever the config enables.  For each
+    state j in turn that emits a record, rng draws the times (`normal`),
+    then the locations (`standard_normal`), then the seed of the
+    `sample_vmf` call (`integers`).  Only text_model 'vmf' can be sampled,
+    because a record's embedding must be unit norm.
+    """
+    if config.text_model != "vmf":
+        raise ValueError(f"records can only be sampled from text_model 'vmf' "
+                         f"(unit-norm embeddings), got {config.text_model!r}")
+    n = labels.shape[0]
+    times = np.empty(n)
+    locs = np.empty((n, 2))
+    embeds = np.empty((n, states[0].text.p))
+    for j, state in enumerate(states):
+        mask = labels == j
+        cnt = int(mask.sum())
+        if cnt == 0:
+            continue
+        times[mask] = rng.normal(state.mu_t, state.sigma_t, size=cnt)
+        chol = np.linalg.cholesky(state.cov_l)
+        locs[mask] = state.mu_l + rng.standard_normal((cnt, 2)) @ chol.T
+        embeds[mask] = sample_vmf(state.text, cnt, seed=int(rng.integers(2 ** 62)))
+    return times, locs, embeds
+
+
+def text_direction(state: StateParams, config: EmissionConfig):
+    """(direction, kappa) of a state's text component under config.text_model:
+    the vMF mean direction and concentration for 'vmf', text_mean and None
+    for 'gaussian', (None, None) for 'none'."""
+    if config.text_model == "vmf":
+        return state.text.mu, float(state.text.kappa)
+    if config.text_model == "gaussian":
+        return state.text_mean, None
+    return None, None
 
 
 def _floor_covariance(cov: np.ndarray, floor: float) -> np.ndarray:

@@ -335,12 +335,14 @@ def _smooth(raw: np.ndarray) -> np.ndarray:
 
 
 def _reseed_state(bundle: _CorpusBundle, log_b_all: np.ndarray,
-                  config: EmissionConfig) -> StateParams:
-    """Replacement parameters for a dead state, centered on the record the
-    current model explains worst."""
+                  config: EmissionConfig, rank: int) -> StateParams:
+    """Replacement parameters for an iteration's rank-th dead state (from 0),
+    centered on the record the current model explains rank-th worst (ties
+    in record order; ranks past the last record wrap around), so states
+    that die in the same iteration are re-seeded on distinct records."""
     k = log_b_all.shape[1]
     score = _logsumexp(log_b_all, axis=1) - math.log(k)
-    worst = int(np.argmin(score))
+    worst = int(np.argsort(score, kind="stable")[rank % score.size])
     return seed_state(bundle.times[worst], bundle.locs[worst], bundle.embeds[worst], config)
 
 
@@ -485,14 +487,15 @@ def baum_welch(
         started = time.perf_counter()
         gamma_all, xi_sum, gamma0, loglik, log_b_all = _e_step(model, bundle)
 
-        states = []
+        states, n_dead = [], 0
         for j in range(k):
             try:
                 states.append(
                     m_step_state(bundle.times, bundle.locs, bundle.embeds, gamma_all[:, j], config)
                 )
             except EmptyStateError:
-                states.append(_reseed_state(bundle, log_b_all, config))
+                states.append(_reseed_state(bundle, log_b_all, config, n_dead))
+                n_dead += 1
         pi = _smooth(gamma0)
         trans = np.vstack([_smooth(xi_sum[j]) for j in range(k)])
         model = ShmmModel(

@@ -1,7 +1,10 @@
 """Synthetic data generation and the convergence/estimation experiments.
 
 Provides the planted-model corpus generator used by the recovery tests
-plus the two experiment drivers behind the `synth` CLI subcommand:
+plus the two experiment drivers behind the `synth` CLI subcommand.
+`sample_corpus` runs the Markov chain and builds the records; the
+emissions come from `emission.sample_emissions`, which samples text
+model 'vmf' only (records need unit-norm embeddings).
 
 * newton_convergence: per-iteration residual |A_p(kappa_n) - r_bar| of the
   concentration solve on one sampled dataset;
@@ -10,7 +13,9 @@ plus the two experiment drivers behind the `synth` CLI subcommand:
   estimation_vs_n / _kappa / _p experiments (`ESTIMATION_GRIDS`).
 
 Both drivers return plot-ready (x, metric, value) rows; the CLI writes
-them as CSV.
+them as CSV.  They raise ValueError for p < 2, and estimation_error for
+kappa <= 0 or NaN, before the first draw; newton_convergence also raises
+when the sample's r_bar needs kappa beyond KAPPA_MAX, as one sample does.
 """
 
 from __future__ import annotations
@@ -20,10 +25,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .emission import EmissionConfig, StateParams
+from .emission import EmissionConfig, StateParams, sample_emissions
 from .hmm_core import ShmmModel
 from .records import SECONDS_PER_DAY, SemanticRecord, Trace
-from .vmf import VmfParams, fit_vmf, sample_vmf, solve_concentration
+from .vmf import (KAPPA_MAX, VmfParams, _ratio_at_cap, fit_vmf, sample_vmf,
+                  solve_concentration)
 
 
 def orthonormal_directions(k: int, p: int, seed: int) -> np.ndarray:
@@ -94,12 +100,14 @@ def planted_model(
 def sample_corpus(model: ShmmModel, n_traces: int, trace_len: int, seed: int) -> list[Trace]:
     """Simulate traces from a model (Markov chain + per-state emissions).
 
-    Deterministic given the seed.  Absolute timestamps step by one hour so
-    the generated traces survive any segmentation threshold >= 1 h.
+    Deterministic given the seed.  The emissions come from
+    `emission.sample_emissions`, so the model's text model must be 'vmf'
+    (ValueError otherwise); times of day are clipped to [0, 1 day).
+    Absolute timestamps step by one hour so the generated traces survive
+    any segmentation threshold >= 1 h.
     """
     rng = np.random.default_rng(seed)
     k = model.n_states
-    n = n_traces * trace_len
 
     paths = np.empty((n_traces, trace_len), dtype=int)
     paths[:, 0] = rng.choice(k, size=n_traces, p=model.pi)
@@ -112,21 +120,8 @@ def sample_corpus(model: ShmmModel, n_traces: int, trace_len: int, seed: int) ->
             if cnt:
                 nxt[mask] = rng.choice(k, size=cnt, p=model.trans[j])
         paths[:, t] = nxt
-    flat = paths.reshape(-1)
 
-    times = np.empty(n)
-    locs = np.empty((n, 2))
-    embeds = np.empty((n, model.embedding_dim))
-    for j in range(k):
-        mask = flat == j
-        cnt = int(mask.sum())
-        if cnt == 0:
-            continue
-        state = model.states[j]
-        times[mask] = rng.normal(state.mu_t, state.sigma_t, size=cnt)
-        chol = np.linalg.cholesky(state.cov_l)
-        locs[mask] = state.mu_l + rng.standard_normal((cnt, 2)) @ chol.T
-        embeds[mask] = sample_vmf(state.text, cnt, seed=int(rng.integers(2 ** 62)))
+    times, locs, embeds = sample_emissions(model.states, model.config, paths.reshape(-1), rng)
     times = np.clip(times, 0.0, SECONDS_PER_DAY - 1e-6)
 
     traces = []
@@ -152,6 +147,11 @@ def sample_corpus(model: ShmmModel, n_traces: int, trace_len: int, seed: int) ->
 # experiment drivers
 
 
+def _check_dimension(p: int) -> None:
+    if not p >= 2:
+        raise ValueError(f"dimension p must be >= 2, got {p!r}")
+
+
 def _sample_resultant(p: int, kappa: float, n: int, seed: int):
     mu = np.zeros(p)
     mu[0] = 1.0
@@ -162,10 +162,16 @@ def _sample_resultant(p: int, kappa: float, n: int, seed: int):
 def newton_convergence(p: int = 100, kappa: float = 100.0, n: int = 100_000, seed: int = 0):
     """Residual per Newton iteration on one sampled dataset.
 
-    Row 0 is the closed-form initializer; rows 1.. are Newton steps.
+    Row 0 is the closed-form initializer; rows 1.. are Newton steps.  A
+    sample whose r_bar needs kappa beyond KAPPA_MAX (n = 1 always does)
+    raises ValueError, as does p < 2.
     """
+    _check_dimension(p)
     _, samples = _sample_resultant(p, kappa, n, seed)
     r_bar = float(np.linalg.norm(samples.sum(axis=0))) / n
+    if r_bar >= _ratio_at_cap(p):  # where fit_vmf caps kappa
+        raise ValueError(f"the sample's r_bar={r_bar!r} needs kappa beyond {KAPPA_MAX:g}; "
+                         "raise n or lower kappa")
     trace = solve_concentration(r_bar, p)
     return [(i, "residual", float(res)) for i, res in enumerate(trace.residuals)]
 
@@ -193,14 +199,23 @@ def estimation_error(experiment: str, grid: Sequence[float] | None = None, p: in
 
     The swept parameter (int for n and p, float for kappa) replaces its own
     argument; per-seed rows, seeded seed + 1000*s + int(x), precede the means.
+    Every grid point is checked before the first draw: p < 2 and kappa <= 0
+    (or NaN) raise ValueError.
     """
     axis, default_grid, default_seeds = ESTIMATION_GRIDS[experiment]
     if n_seeds is not None and n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds!r}")
-    params = {"p": p, "kappa": kappa, "n": n}
-    rows = []
+    points = []
     for value in default_grid if grid is None else grid:
-        x = params[axis] = float(value) if axis == "kappa" else int(value)
+        params = {"p": p, "kappa": kappa, "n": n}
+        params[axis] = float(value) if axis == "kappa" else int(value)
+        _check_dimension(params["p"])
+        if not params["kappa"] > 0.0:  # the relative error divides by kappa
+            raise ValueError(f"kappa must be > 0, got {params['kappa']!r}")
+        points.append(params)
+    rows = []
+    for params in points:
+        x = params[axis]
         errs = [_fit_errors(**params, seed=seed + 1000 * s + int(x))
                 for s in range(default_seeds if n_seeds is None else n_seeds)]
         for k_err, m_err in errs:

@@ -177,7 +177,8 @@ def solve_concentration(
     Parameters
     ----------
     r_bar : real in (0, 1)
-        Target mean resultant length.
+        Target mean resultant length; any other value (NaN included)
+        raises ValueError.
     p : int
         Dimension (>= 2).
     tol : float
@@ -194,6 +195,8 @@ def solve_concentration(
     NewtonTrace
         Iterates and residuals, initializer included.
     """
+    if not 0.0 < r_bar < 1.0:  # also rejects NaN; works for mpmath values too
+        raise ValueError(f"r_bar must lie in (0, 1), got {r_bar}")
     if ratio_fn is None:
         ratio_fn = bessel_ratio_a
     kappa = banerjee_init(r_bar, p) if kappa0 is None else kappa0

@@ -1,9 +1,12 @@
-"""Per-axis estimation drivers, kept as the oracle for the one grid driver.
+"""Former `shmm.synth` code, kept as oracles for what replaced it.
 
-These are the former `estimation_vs_n`, `estimation_vs_kappa` and
-`estimation_vs_p` of `shmm.synth`, verbatim: one copy of the same
-seed-and-mean loop per swept parameter.  `shmm.synth.estimation_error`
-must return exactly their rows.
+* The per-axis estimation drivers `estimation_vs_n`, `estimation_vs_kappa`
+  and `estimation_vs_p`, verbatim: one copy of the same seed-and-mean loop
+  per swept parameter.  `shmm.synth.estimation_error` must return exactly
+  their rows.
+* `sample_corpus` with its per-state emission loop inline, verbatim.  The
+  current `sample_corpus`, which draws emissions through
+  `shmm.emission.sample_emissions`, must return bitwise the same corpus.
 """
 
 from __future__ import annotations
@@ -12,7 +15,67 @@ from typing import Sequence
 
 import numpy as np
 
+from shmm.hmm_core import ShmmModel
+from shmm.records import SECONDS_PER_DAY, SemanticRecord, Trace
 from shmm.synth import _fit_errors
+from shmm.vmf import sample_vmf
+
+
+def sample_corpus(model: ShmmModel, n_traces: int, trace_len: int, seed: int) -> list[Trace]:
+    """Simulate traces from a model (Markov chain + per-state emissions).
+
+    Deterministic given the seed.  Absolute timestamps step by one hour so
+    the generated traces survive any segmentation threshold >= 1 h.
+    """
+    rng = np.random.default_rng(seed)
+    k = model.n_states
+    n = n_traces * trace_len
+
+    paths = np.empty((n_traces, trace_len), dtype=int)
+    paths[:, 0] = rng.choice(k, size=n_traces, p=model.pi)
+    for t in range(1, trace_len):
+        prev = paths[:, t - 1]
+        nxt = np.empty(n_traces, dtype=int)
+        for j in range(k):
+            mask = prev == j
+            cnt = int(mask.sum())
+            if cnt:
+                nxt[mask] = rng.choice(k, size=cnt, p=model.trans[j])
+        paths[:, t] = nxt
+    flat = paths.reshape(-1)
+
+    times = np.empty(n)
+    locs = np.empty((n, 2))
+    embeds = np.empty((n, model.embedding_dim))
+    for j in range(k):
+        mask = flat == j
+        cnt = int(mask.sum())
+        if cnt == 0:
+            continue
+        state = model.states[j]
+        times[mask] = rng.normal(state.mu_t, state.sigma_t, size=cnt)
+        chol = np.linalg.cholesky(state.cov_l)
+        locs[mask] = state.mu_l + rng.standard_normal((cnt, 2)) @ chol.T
+        embeds[mask] = sample_vmf(state.text, cnt, seed=int(rng.integers(2 ** 62)))
+    times = np.clip(times, 0.0, SECONDS_PER_DAY - 1e-6)
+
+    traces = []
+    idx = 0
+    for i in range(n_traces):
+        records = []
+        for t in range(trace_len):
+            records.append(
+                SemanticRecord(
+                    user_id=f"synth-{i}",
+                    t_abs=float(t) * 3600.0,
+                    t_day=float(times[idx]),
+                    loc=locs[idx],
+                    embedding=embeds[idx],
+                )
+            )
+            idx += 1
+        traces.append(Trace(records))
+    return traces
 
 
 def estimation_vs_n(

@@ -316,6 +316,43 @@ class TestSummarize:
         rows = read_csv(out / "summary.csv")
         assert rows[1][6].split()[0] == "game"
 
+    @pytest.mark.parametrize("preset, has_kappa, has_keywords", [
+        ("shmm", True, True), ("ghmm", False, True), ("st-hmm", False, False),
+    ])
+    def test_text_columns_follow_the_preset(self, tmp_path, raw_file, vectors_file, preset,
+                                            has_kappa, has_keywords):
+        pre, train, out = tmp_path / "pre", tmp_path / "train", tmp_path / "sum"
+        assert main(["preprocess", "--input", str(raw_file), "--embeddings", str(vectors_file),
+                     "--output-dir", str(pre)]) == 0
+        assert main(["train", "--corpus", str(pre / "corpus.ndjson"), "--k", "2",
+                     "--preset", preset, "--max-iters", "5", "--output-dir", str(train)]) == 0
+        assert main(["summarize", "--model", str(train / "model.json"),
+                     "--embeddings", str(vectors_file), "--k-keywords", "3",
+                     "--output-dir", str(out)]) == 0
+        header, *rows = read_csv(out / "summary.csv")
+        kappa, keywords = header.index("kappa"), header.index("top_keywords")
+        assert len(rows) == 2
+        for row in rows:
+            assert (row[kappa] != "") == has_kappa
+            assert len(row[keywords].split()) == (3 if has_keywords else 0)
+
+    def test_vmf_text_columns_are_mean_direction_and_kappa(self, tmp_path, vectors_file):
+        from shmm.hmm_core import save_model
+        from shmm.text_embed import load_keyword_vectors, nearest_keywords
+
+        model = planted_model(3, 4, seed=2)
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        out = tmp_path / "sum"
+        assert main(["summarize", "--model", str(model_path), "--embeddings", str(vectors_file),
+                     "--k-keywords", "4", "--output-dir", str(out)]) == 0
+        table = load_keyword_vectors(vectors_file)
+        rows = read_csv(out / "summary.csv")[1:]
+        assert [row[5:7] for row in rows] == [
+            [repr(float(s.text.kappa)), " ".join(nearest_keywords(s.text.mu, table, 4))]
+            for s in load_model(model_path).states
+        ]
+
     def test_dimension_mismatch_fails(self, tmp_path, vectors_file):
         model_true = planted_model(1, 6, seed=2)
         from shmm.hmm_core import save_model
@@ -800,6 +837,19 @@ class TestBadInputs:
                      id="vectors-short-line"),
         pytest.param(_SUMMARIZE + " --k-keywords -1", None,
                      "keyword count k must be >= 0, got -1", id="k-keywords-negative"),
+        pytest.param("synth newton_convergence --p 0", None, "dimension p must be >= 2, got 0",
+                     id="synth-newton-p-zero"),
+        pytest.param("synth newton_convergence --n 1", None,
+                     "the sample's r_bar=[0-9.]+ needs kappa beyond 1e\\+06; "
+                     "raise n or lower kappa", id="synth-newton-one-sample"),
+        pytest.param("synth estimation_vs_p --grid 0", None, "dimension p must be >= 2, got 0",
+                     id="synth-estimation-grid-p-zero"),
+        pytest.param("synth estimation_vs_n --kappa 0", None, "kappa must be > 0, got 0.0",
+                     id="synth-estimation-kappa-zero"),
+        pytest.param("synth estimation_vs_kappa --grid 0", None, "kappa must be > 0, got 0.0",
+                     id="synth-estimation-grid-kappa-zero"),
+        pytest.param("synth estimation_vs_kappa --grid 10,nan", None,
+                     "kappa must be > 0, got nan", id="synth-estimation-grid-kappa-nan"),
         pytest.param(_PREPROCESS, _raw_field("timestamp", True),
                      "{raw}:2: timestamp must be a number, got true", id="raw-timestamp-bool"),
         pytest.param(_PREPROCESS, _raw_field("lon", False),

@@ -13,6 +13,7 @@ from shmm.emission import (
     log_emission,
     log_emission_matrix,
     m_step_state,
+    text_direction,
 )
 from shmm.records import SemanticRecord
 from shmm.vmf import VmfParams
@@ -259,6 +260,24 @@ class TestEmissionConfig:
         assert EmissionConfig.preset("shmm").text_model == "vmf"
         with pytest.raises(ValueError):
             EmissionConfig.preset("gmove")
+
+
+class TestTextDirection:
+    """The state carries both text parameterizations; the text model picks one."""
+
+    def test_vmf_gives_mean_direction_and_kappa(self):
+        state = make_state(p=4, kappa=7.5)
+        direction, kappa = text_direction(state, EmissionConfig.shmm())
+        assert direction is state.text.mu
+        assert kappa == 7.5 and type(kappa) is float
+
+    def test_gaussian_gives_text_mean_and_no_kappa(self):
+        state = make_state(p=4)
+        assert text_direction(state, EmissionConfig.ghmm()) == (state.text_mean, None)
+
+    @pytest.mark.parametrize("preset", ["st-hmm", "hmm"])
+    def test_no_text_gives_nothing(self, preset):
+        assert text_direction(make_state(p=4), EmissionConfig.preset(preset)) == (None, None)
 
 
 class TestMStep:

@@ -12,9 +12,10 @@ import re
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
+from scipy.special import logsumexp
 
 from _helpers import random_model, random_trace, unit
-from shmm.emission import EmissionConfig, StateParams, log_emission
+from shmm.emission import EmissionConfig, StateParams, log_emission, log_emission_matrix
 from shmm.hmm_core import (
     DimensionMismatchError,
     EmptyCorpusError,
@@ -34,7 +35,7 @@ from shmm.hmm_core import (
     score_next,
     viterbi,
 )
-from shmm.records import SemanticRecord, Trace
+from shmm.records import SemanticRecord, Trace, stack_records
 from shmm.synth import planted_model, sample_corpus
 from shmm.vmf import VmfParams
 
@@ -325,6 +326,55 @@ class TestBaumWelch:
             corpus, 2, EmissionConfig.shmm(), init=init, stop=StopCriteria(max_iters=3)
         )
         assert float(np.linalg.norm(model.states[1].mu_l)) < 100.0
+
+    @pytest.mark.filterwarnings("ignore::shmm.vmf.DegenerateResultantWarning")
+    def test_states_dead_together_are_reseeded_apart(self):
+        model_true = planted_model(1, 4, seed=6)
+        corpus = sample_corpus(model_true, 30, 6, seed=7)
+
+        def far(x):
+            return StateParams(mu_t=1.0, sigma_t=60.0, mu_l=np.array([x, x]),
+                               cov_l=1e-6 * np.eye(2),
+                               text=VmfParams(mu=unit(np.ones(4)), kappa=1.0, p=4))
+
+        # states 1 and 2 both die in the first M-step
+        init = ShmmModel(
+            n_states=3,
+            pi=np.array([1.0 - 2e-12, 1e-12, 1e-12]),
+            trans=np.array([[1.0 - 2e-12, 1e-12, 1e-12], [1 / 3] * 3, [1 / 3] * 3]),
+            states=[model_true.states[0], far(500.0), far(-500.0)],
+            config=EmissionConfig.shmm(),
+            embedding_dim=4,
+        )
+        times, locs, embeds = (np.concatenate(cols) for cols in zip(*map(stack_records, corpus)))
+        score = logsumexp(log_emission_matrix(init.states, init.config, times, locs, embeds),
+                          axis=1)
+        worst = np.argsort(score, kind="stable")[:2]
+
+        def fit(max_iters):
+            return baum_welch(corpus, 3, EmissionConfig.shmm(), init=init,
+                              stop=StopCriteria(max_iters=max_iters, rel_tol=0.0))[0]
+
+        # the i-th dead state is centered on the i-th worst-explained record
+        model = fit(1)
+        for state, i in zip(model.states[1:], worst):
+            np.testing.assert_array_equal(state.mu_l, locs[i])
+            assert state.mu_t == times[i]
+        # ... so the two never become clones
+        model = fit(30)
+        assert not np.array_equal(model.states[1].mu_l, model.states[2].mu_l)
+        assert not np.array_equal(model.trans[1], model.trans[2])
+
+    @pytest.mark.filterwarnings("ignore::shmm.vmf.DegenerateResultantWarning")
+    def test_more_dead_states_than_records_wrap_around(self):
+        # one record leaves at least two of three states dead each iteration
+        model_true = planted_model(3, 4, seed=1)
+        corpus = sample_corpus(model_true, 1, 1, seed=2)
+        model, history = baum_welch(corpus, 3, EmissionConfig.shmm(), init=model_true,
+                                    stop=StopCriteria(max_iters=3))
+        assert len(history) == 3
+        for state in model.states:
+            np.testing.assert_array_equal(state.mu_l, corpus[0].records[0].loc)
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpusError):

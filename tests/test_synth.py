@@ -1,9 +1,14 @@
 """Tests for the planted-model generator and experiment drivers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import _synth_reference as reference
+from shmm import synth
+from shmm.emission import EmissionConfig
+from shmm.hmm_core import ShmmModel
 from shmm.records import stack_records
 from shmm.synth import (
     ESTIMATION_GRIDS,
@@ -50,6 +55,63 @@ class TestGenerators:
         np.testing.assert_allclose(locs.mean(axis=0), state.mu_l, atol=0.01)
 
 
+def corpus_bits(corpus):
+    """Every field of every record, with arrays as raw bytes."""
+    return [[(r.user_id, r.t_abs, r.t_day, r.loc.tobytes(), r.embedding.tobytes(), r.raw_text)
+             for r in trace] for trace in corpus]
+
+
+def unreachable_last_state(model):
+    """The model with its last state never entered: zero initial mass and a
+    zero transition column."""
+    pi, trans = model.pi.copy(), model.trans.copy()
+    pi[-1] = trans[:, -1] = 0.0
+    return dataclasses.replace(model, pi=pi / pi.sum(),
+                               trans=trans / trans.sum(axis=1, keepdims=True))
+
+
+def without_vmf_text(model, preset):
+    """The model under another preset, each state's vMF text turned into a
+    Gaussian text mean and variance (ghmm) or dropped."""
+    config = EmissionConfig.preset(preset)
+    gaussian = config.text_model == "gaussian"
+    states = [dataclasses.replace(
+        s, text=None, text_mean=s.text.mu if gaussian else None,
+        text_var=np.full(s.text.p, 0.5) if gaussian else None) for s in model.states]
+    return dataclasses.replace(model, states=states, config=config)
+
+
+class TestSampleCorpusMatchesReference:
+    """`sample_corpus` draws emissions through `emission.sample_emissions`;
+    the corpus must be bitwise the former inline loop's."""
+
+    @pytest.mark.parametrize("k, p, n_traces, trace_len, seed", [
+        (1, 2, 5, 3, 0),
+        (3, 6, 20, 7, 5),
+        (5, 10, 40, 12, 11),
+        (8, 8, 30, 4, 2),
+        (30, 30, 60, 20, 7),
+    ])
+    def test_bitwise_equal(self, k, p, n_traces, trace_len, seed):
+        model = planted_model(k, p, seed=seed + 1)
+        assert corpus_bits(sample_corpus(model, n_traces, trace_len, seed)) == corpus_bits(
+            reference.sample_corpus(model, n_traces, trace_len, seed))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_bitwise_equal_with_a_state_that_draws_no_record(self, seed):
+        model = unreachable_last_state(planted_model(3, 5, seed=2))
+        got = sample_corpus(model, 15, 6, seed)
+        embeds = np.concatenate([stack_records(t)[2] for t in got])
+        assert np.max(embeds @ model.states[-1].text.mu) < 0.9  # state 2 emitted nothing
+        assert corpus_bits(got) == corpus_bits(reference.sample_corpus(model, 15, 6, seed))
+
+    @pytest.mark.parametrize("preset, text_model", [("ghmm", "gaussian"), ("st-hmm", "none")])
+    def test_other_text_models_are_rejected_by_name(self, preset, text_model):
+        model = without_vmf_text(planted_model(2, 4, seed=3), preset)
+        with pytest.raises(ValueError, match=f"text_model 'vmf'.*got '{text_model}'$"):
+            sample_corpus(model, 3, 3, seed=0)
+
+
 class TestExperiments:
     def test_newton_convergence_reaches_floor(self):
         rows = newton_convergence(p=20, kappa=50.0, n=20_000, seed=0)
@@ -84,6 +146,33 @@ class TestExperiments:
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError):
             estimation_error("newton_convergence")
+
+    @pytest.mark.parametrize("p", [1, 0, -3])
+    def test_newton_convergence_rejects_dimension_below_two(self, p):
+        with pytest.raises(ValueError, match=f"^dimension p must be >= 2, got {p}$"):
+            newton_convergence(p=p, n=10)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_newton_convergence_on_one_sample_raises(self, seed):
+        # one unit vector has r_bar = 1 up to rounding: no finite kappa fits it
+        with pytest.raises(ValueError, match="needs kappa beyond 1e\\+06"):
+            newton_convergence(p=10, n=1, seed=seed)
+
+    @pytest.mark.parametrize("experiment, kwargs, message", [
+        ("estimation_vs_p", {"grid": (10, 0)}, "dimension p must be >= 2, got 0"),
+        ("estimation_vs_n", {"p": 1}, "dimension p must be >= 2, got 1"),
+        ("estimation_vs_n", {"kappa": 0.0}, "kappa must be > 0, got 0.0"),
+        ("estimation_vs_kappa", {"grid": (5.0, 0.0)}, "kappa must be > 0, got 0.0"),
+        ("estimation_vs_kappa", {"grid": (5.0, -1.0)}, "kappa must be > 0, got -1.0"),
+        ("estimation_vs_kappa", {"grid": (5.0, float("nan"))}, "kappa must be > 0, got nan"),
+    ])
+    def test_bad_grid_point_raises_before_any_draw(self, monkeypatch, experiment, kwargs,
+                                                   message):
+        calls = []
+        monkeypatch.setattr(synth, "_fit_errors", lambda **kw: calls.append(kw))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimation_error(experiment, n=100, n_seeds=1, **kwargs)
+        assert calls == []
 
     @pytest.mark.parametrize("n_seeds", [0, -2])
     def test_seed_count_below_one_raises(self, n_seeds):

@@ -271,6 +271,11 @@ class TestBracketSafeguard:
         with pytest.raises(NoConvergenceError, match=r"p=2, r_bar=0\.99999999999\b"):
             solve_concentration(1.0 - 1e-11, 2)
 
+    @pytest.mark.parametrize("r_bar", [0.0, 1.0, 1.5, -0.2, math.nan, mp.mpf(1), mp.mpf(0)])
+    def test_target_outside_the_open_unit_interval_raises(self, r_bar):
+        with pytest.raises(ValueError, match="^r_bar must lie in \\(0, 1\\)"):
+            solve_concentration(r_bar, 10)
+
     def test_engaging_the_safeguard_is_logged_once(self, caplog):
         r_bar = bessel_ratio_a(10, 10.0)
         with caplog.at_level(logging.INFO, logger="shmm.vmf"):
