@@ -384,7 +384,15 @@ def evaluate_prediction(
 
 
 def write_corpus(traces: Sequence[Trace], path) -> None:
-    """One trace per NDJSON line, embeddings attached; `user_id` is the first record's."""
+    """One trace per NDJSON line, embeddings attached, under its records' one `user_id`.
+
+    A corpus line has one `user_id`, so a trace whose records mix user_ids
+    raises ValueError naming it before the file is opened.
+    """
+    for i, trace in enumerate(traces):
+        users = {r.user_id for r in trace}
+        if len(users) > 1:
+            raise ValueError(f"trace {i}: records mix user_ids {sorted(users)}")
     with _open_text(path, "wt") as fh:
         for trace in traces:
             doc = {

@@ -16,7 +16,7 @@ model with vMF text.
 `log_emission_matrix` evaluates every state in one vectorized pass: the
 per-state parameters are stacked into (K,)- and (K, p)-arrays, the time
 and location terms broadcast records (N, 1) against states (K,), and the
-vMF term is one (N, p) @ (p, K) product, log C_p(kappa) + kappa mu^T x.
+vMF term is `vmf.vmf_log_density`, one (N, p) @ (p, K) product.
 The Gaussian text term uses the expanded quadratic
 sum_j x_j^2/v_j - 2 x_j m_j/v_j + m_j^2/v_j, i.e. two such products,
 rather than the direct (x - m)^2/v, which would need an (N, K, p)
@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .records import stack_records
-from .vmf import VmfParams, fit_vmf, sample_vmf, vmf_log_norm_const
+from .vmf import VmfParams, fit_vmf, sample_vmf, vmf_log_density
 
 #: Lower bound on the time-of-day standard deviation, seconds.
 SIGMA_T_FLOOR = 60.0
@@ -219,10 +219,7 @@ def log_emission_matrix(
         quad = (d * dx * dx - 2.0 * b * dx * dy + a * dy * dy) / det
         out += -_LOG_2PI - 0.5 * np.log(det) - 0.5 * quad
     if config.text_model == "vmf":
-        mu = np.array([s.text.mu for s in states])
-        kappa = np.array([float(s.text.kappa) for s in states])
-        log_c = np.array([vmf_log_norm_const(s.text.p, float(s.text.kappa)) for s in states])
-        out += log_c + kappa * (embeds @ mu.T)
+        out += vmf_log_density([s.text for s in states], embeds)
     elif config.text_model == "gaussian":
         mean = np.array([s.text_mean for s in states])
         var = np.array([s.text_var for s in states])

@@ -30,6 +30,11 @@ Evaluation strategy, switched on the argument:
   plus a chain of continued-fraction ratio steps up to v.  The pieces are
   combined with math.fsum so the result stays within ~1 ulp even when
   log I_v is of order 1e6.
+
+Both functions are evaluated for kappa in (0, KAPPA_EVAL_MAX] only.  Above
+about 3.6e8 * max(1, p/2) the continued fraction's first Lentz step
+overflows and A_p comes out as inf; the vMF code never goes past its own
+cap of 1e6, so the range is checked rather than extended.
 """
 
 from __future__ import annotations
@@ -42,11 +47,14 @@ _SERIES_MAX_TERMS = 500_000
 _CF_TOL = 5e-16
 _LENTZ_TINY = 1e-300
 
+#: Largest argument either function evaluates.
+KAPPA_EVAL_MAX = 1e8
+
 
 def _check_kappa(kappa: float) -> float:
     kappa = float(kappa)
-    if not math.isfinite(kappa) or kappa <= 0.0:
-        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
+    if not 0.0 < kappa <= KAPPA_EVAL_MAX:  # also rejects NaN and inf
+        raise ValueError(f"kappa must lie in (0, {KAPPA_EVAL_MAX:g}], got {kappa!r}")
     return kappa
 
 
@@ -127,19 +135,20 @@ def log_bessel_i(v: float, kappa: float) -> float:
         Order, must be >= 0 (half-integer orders are the common case here:
         v = p/2 - 1 for the vMF normalizer in dimension p).
     kappa : float
-        Argument, must be > 0 and finite.
+        Argument in (0, KAPPA_EVAL_MAX].
 
     Returns
     -------
     float
-        log I_v(kappa), accurate to ~1e-13 absolute in the log (i.e. the
-        implied I_v carries relative error well below 1e-10) across
-        kappa in [1e-6, 1e6].
+        log I_v(kappa), within about one ulp of the log (so the implied
+        I_v carries relative error well below 1e-10) across kappa in
+        [1e-6, 1e6].
 
     Raises
     ------
     ValueError
-        If kappa <= 0, or any input is non-finite, or v < 0.
+        If kappa is outside (0, KAPPA_EVAL_MAX], or v is negative or
+        non-finite.
     """
     kappa = _check_kappa(kappa)
     v = float(v)
@@ -171,12 +180,12 @@ def bessel_ratio_a(p: int, kappa: float) -> float:
     p : int
         Ambient dimension, >= 2.
     kappa : float
-        Concentration, must be > 0 and finite.
+        Concentration in (0, KAPPA_EVAL_MAX].
 
     Raises
     ------
     ValueError
-        If p < 2 or kappa is not a positive finite number.
+        If p < 2 or kappa is outside (0, KAPPA_EVAL_MAX].
     """
     if int(p) != p or p < 2:
         raise ValueError(f"dimension p must be an integer >= 2, got {p!r}")
@@ -188,7 +197,8 @@ def bessel_ratio_a_prime(p: int, kappa: float, a_value: float) -> float:
     """Derivative A_p'(kappa), given a_value = A_p(kappa).
 
     Uses the recurrence identity A_p' = 1 - A_p^2 - (p-1)/kappa * A_p,
-    which is strictly positive for every kappa > 0.
+    which is strictly positive for every kappa > 0; kappa must lie in
+    (0, KAPPA_EVAL_MAX].
     """
     if int(p) != p or p < 2:
         raise ValueError(f"dimension p must be an integer >= 2, got {p!r}")

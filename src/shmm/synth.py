@@ -28,7 +28,7 @@ import numpy as np
 from .emission import EmissionConfig, StateParams, sample_emissions
 from .hmm_core import ShmmModel
 from .records import SECONDS_PER_DAY, SemanticRecord, Trace
-from .vmf import (KAPPA_MAX, VmfParams, _ratio_at_cap, fit_vmf, sample_vmf,
+from .vmf import (KAPPA_MAX, ResultantStats, VmfParams, fit_vmf, ratio_at_cap, sample_vmf,
                   solve_concentration)
 
 
@@ -168,8 +168,8 @@ def newton_convergence(p: int = 100, kappa: float = 100.0, n: int = 100_000, see
     """
     _check_dimension(p)
     _, samples = _sample_resultant(p, kappa, n, seed)
-    r_bar = float(np.linalg.norm(samples.sum(axis=0))) / n
-    if r_bar >= _ratio_at_cap(p):  # where fit_vmf caps kappa
+    r_bar = ResultantStats(resultant=samples.sum(axis=0), weight=float(n)).r_bar
+    if r_bar >= ratio_at_cap(p):  # where estimate_kappa caps kappa
         raise ValueError(f"the sample's r_bar={r_bar!r} needs kappa beyond {KAPPA_MAX:g}; "
                          "raise n or lower kappa")
     trace = solve_concentration(r_bar, p)

@@ -26,6 +26,9 @@ bracket around the root, and a step that would leave the bracket is
 replaced by bisection (or by doubling while there is no upper end yet),
 so convergence is unconditional in practice.  Targets at or beyond
 A_p(KAPPA_MAX), computed once per dimension, cap kappa at KAPPA_MAX.
+
+No other module computes a vMF quantity: the density (`vmf_log_density`),
+r_bar (`ResultantStats`), the cap ratio and every kappa edge live here.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ _R_BAR_UNIFORM = 1e-10
 
 
 class NoConvergenceError(RuntimeError):
-    """The concentration solve spent its iteration budget without reaching tol."""
+    """The concentration solve spent its iteration budget without reaching tol,
+    or refused a target whose root lies beyond KAPPA_MAX."""
 
 
 class EmptyInputError(ValueError):
@@ -64,11 +68,7 @@ class DegenerateResultantWarning(UserWarning):
 
 
 class NearUniformWarning(UserWarning):
-    """r_bar indistinguishable from zero; kappa set to 0."""
-
-
-class ZeroResultantWarning(UserWarning):
-    """Weighted resultant vanished (e.g. antipodal data); degenerate fit."""
+    """r_bar indistinguishable from zero (a vanished resultant included); kappa set to 0."""
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class ResultantStats:
 
     resultant is the (possibly responsibility-weighted) sum of unit
     vectors, weight the total weight (N for unweighted data), and
-    r_bar = ||resultant|| / weight the mean resultant length.
+    r_bar = ||resultant|| / weight the mean resultant length, in [0, 1].
     """
 
     resultant: np.ndarray
@@ -119,10 +119,7 @@ class ResultantStats:
             raise ValueError(f"resultant must be finite, got ||resultant|| = {norm!r}")
         if norm > self.weight * (1.0 + 1e-9):
             raise ValueError("||resultant|| exceeds total weight")
-        r_bar = min(norm / self.weight, 1.0)
-        if r_bar <= 0.0:
-            raise ValueError("r_bar must be positive; handle zero resultants upstream")
-        object.__setattr__(self, "r_bar", r_bar)
+        object.__setattr__(self, "r_bar", min(norm / self.weight, 1.0))
 
 
 class KappaEstimate(NamedTuple):
@@ -174,6 +171,10 @@ def solve_concentration(
     be floats or any type supporting float-like operations, so the same
     driver can be run under extended precision for convergence studies.
 
+    A target at or above A_p(KAPPA_MAX) raises NoConvergenceError before
+    any ratio is evaluated: its root lies beyond the cap, where one
+    evaluation of A_p costs O(sqrt(kappa)) and past 1e8 is refused.
+
     Parameters
     ----------
     r_bar : real in (0, 1)
@@ -188,7 +189,8 @@ def solve_concentration(
     ratio_fn : callable (p, kappa) -> A_p(kappa), optional
         Defaults to the double-precision implementation.
     kappa0 : positive real, optional
-        Starting point; defaults to the Banerjee initializer.
+        Starting point, at most 1e8 for the default ratio_fn; defaults to
+        the Banerjee initializer.
 
     Returns
     -------
@@ -197,6 +199,11 @@ def solve_concentration(
     """
     if not 0.0 < r_bar < 1.0:  # also rejects NaN; works for mpmath values too
         raise ValueError(f"r_bar must lie in (0, 1), got {r_bar}")
+    if r_bar >= ratio_at_cap(p):
+        raise NoConvergenceError(
+            f"concentration solve refuses r_bar at or above A_p({KAPPA_MAX:g}): "
+            f"its root exceeds the kappa cap (p={p}, r_bar={r_bar})"
+        )
     if ratio_fn is None:
         ratio_fn = bessel_ratio_a
     kappa = banerjee_init(r_bar, p) if kappa0 is None else kappa0
@@ -240,8 +247,8 @@ def solve_concentration(
 
 
 @lru_cache(maxsize=None)
-def _ratio_at_cap(p: int) -> float:
-    """A_p(KAPPA_MAX): the largest r_bar the solve is asked to invert."""
+def ratio_at_cap(p: int) -> float:
+    """A_p(KAPPA_MAX): targets r_bar at or above it have their root beyond the cap."""
     return bessel_ratio_a(p, KAPPA_MAX)
 
 
@@ -249,9 +256,11 @@ def estimate_kappa(stats: ResultantStats) -> KappaEstimate:
     """Maximum-likelihood concentration for the given resultant statistics.
 
     The returned kappa is the unique root of A_p(kappa) = r_bar, except at
-    the degenerate edges: r_bar >= A_p(KAPPA_MAX) (computed once per
-    dimension) caps kappa at KAPPA_MAX with a DegenerateResultantWarning,
-    and r_bar < 1e-10 returns kappa = 0 with a NearUniformWarning.
+    the degenerate edges, which are decided here:
+    r_bar >= A_p(KAPPA_MAX) (computed once per dimension) caps kappa at
+    KAPPA_MAX with a DegenerateResultantWarning, and r_bar < 1e-10, a
+    vanished resultant (r_bar = 0) included, returns kappa = 0 with a
+    NearUniformWarning.
     """
     p = int(stats.resultant.shape[0])
     r_bar = stats.r_bar
@@ -262,7 +271,7 @@ def estimate_kappa(stats: ResultantStats) -> KappaEstimate:
             stacklevel=2,
         )
         return KappaEstimate(0.0, 0, r_bar)
-    r_cap = _ratio_at_cap(p)
+    r_cap = ratio_at_cap(p)
     if r_bar >= r_cap:
         warnings.warn(
             f"r_bar={r_bar:.12g} requires kappa beyond {KAPPA_MAX:g}; capping",
@@ -291,16 +300,24 @@ def vmf_log_norm_const(p: int, kappa: float) -> float:
     ])
 
 
+def vmf_log_density(params: Sequence[VmfParams], x: np.ndarray) -> np.ndarray:
+    """(N, K) log densities log C_p(kappa_k) + kappa_k mu_k^T x_n of N unit
+    vectors x (N, p) under K vMF distributions of the same dimension p.
+
+    x is not checked for unit norm; the callers check their input."""
+    mu = np.array([q.mu for q in params])
+    kappa = np.array([float(q.kappa) for q in params])
+    log_c = np.array([vmf_log_norm_const(q.p, float(q.kappa)) for q in params])
+    return log_c + kappa * (x @ mu.T)
+
+
 def vmf_log_pdf(params: VmfParams, m: np.ndarray) -> float:
     """Log density of the unit vector m under vMF(mu, kappa)."""
     m = np.asarray(m, dtype=float)
     norm = float(np.linalg.norm(m))
     if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"m must be unit norm, got ||m|| = {norm!r}")
-    log_c = vmf_log_norm_const(params.p, float(params.kappa))
-    if params.kappa == 0.0:
-        return log_c
-    return log_c + params.kappa * float(params.mu @ m)
+    return float(vmf_log_density([params], m[None])[0, 0])
 
 
 def fit_vmf(vectors: np.ndarray, weights: Sequence[float] | None = None) -> VmfParams:
@@ -311,9 +328,10 @@ def fit_vmf(vectors: np.ndarray, weights: Sequence[float] | None = None) -> VmfP
     unit weights this is the plain MLE; responsibilities act as fractional
     counts.
 
-    Raises EmptyInputError when there is no data or no positive weight;
-    a vanished resultant (e.g. perfectly antipodal data) yields kappa = 0,
-    mu = e_1 and a ZeroResultantWarning.
+    Raises EmptyInputError when there is no data or no positive weight.
+    A vanished resultant (||R|| < 1e-12 * total weight, e.g. perfectly
+    antipodal data) has no direction, so mu = e_1; `estimate_kappa` gives
+    it kappa = 0 with a NearUniformWarning.
     """
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
@@ -335,15 +353,10 @@ def fit_vmf(vectors: np.ndarray, weights: Sequence[float] | None = None) -> VmfP
     resultant = weights @ vectors
     r_norm = float(np.linalg.norm(resultant))
     if r_norm < 1e-12 * total:
-        warnings.warn(
-            "weighted resultant is numerically zero; returning uniform fit",
-            ZeroResultantWarning,
-            stacklevel=2,
-        )
         mu = np.zeros(p)
         mu[0] = 1.0
-        return VmfParams(mu=mu, kappa=0.0, p=p)
-    mu = resultant / r_norm
+    else:
+        mu = resultant / r_norm
     estimate = estimate_kappa(ResultantStats(resultant=resultant, weight=total))
     return VmfParams(mu=mu, kappa=estimate.kappa, p=p)
 

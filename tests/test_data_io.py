@@ -622,6 +622,15 @@ class TestTimestampsAndPersistence:
         write_corpus(loaded, path)
         assert [r["text"] for r in json.loads(path.read_text())["records"]] == ["5", None]
 
+    def test_trace_mixing_user_ids_is_not_written(self, tmp_path):
+        path = tmp_path / "corpus.ndjson"
+        same = Trace([make_record(0.0), make_record(50.0)])
+        mixed = Trace([make_record(0.0, user="bob"), make_record(50.0, user="alice")])
+        with pytest.raises(ValueError) as info:
+            write_corpus([same] * 3 + [mixed], path)
+        assert str(info.value) == "trace 3: records mix user_ids ['alice', 'bob']"
+        assert not path.exists()
+
     def test_written_corpus_reads_back_and_writes_out_byte_identical(self, tmp_path):
         model = planted_model(3, 5, seed=8)
         first, second = tmp_path / "a.ndjson", tmp_path / "b.ndjson"

@@ -16,7 +16,7 @@ from shmm.emission import (
     text_direction,
 )
 from shmm.records import SemanticRecord
-from shmm.vmf import VmfParams
+from shmm.vmf import VmfParams, vmf_log_density
 
 
 def unit(v):
@@ -200,6 +200,16 @@ class TestAllStatesMatrix:
         uniform = log_emission_matrix(states, text_only, times, locs, embeds)[:, 1]
         np.testing.assert_array_equal(uniform, uniform[0])
         assert np.all(np.isfinite(got))
+
+    def test_vmf_term_is_the_vmf_density(self):
+        rng = np.random.default_rng(23)
+        states = random_states(5, 7, rng)
+        times, locs, embeds = random_records(40, 7, rng)
+        text_only = EmissionConfig(use_time=False, use_location=False, text_model="vmf")
+        np.testing.assert_array_equal(
+            log_emission_matrix(states, text_only, times, locs, embeds),
+            vmf_log_density([s.text for s in states], embeds),
+        )
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_far_record_gives_minus_inf_in_the_same_cells(self, preset):

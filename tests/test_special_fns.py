@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from shmm.special_fns import bessel_ratio_a, bessel_ratio_a_prime, log_bessel_i
+from shmm.special_fns import KAPPA_EVAL_MAX, bessel_ratio_a, bessel_ratio_a_prime, log_bessel_i
 
 mp.mp.dps = 40
 
@@ -46,7 +46,14 @@ class TestLogBesselI:
         # |d log I| is the relative error of the implied I_v
         assert abs(got - exact) < 1e-10
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_top_of_the_evaluated_range(self):
+        assert log_bessel_i(14.0, KAPPA_EVAL_MAX) == pytest.approx(
+            mp_log_iv(14.0, KAPPA_EVAL_MAX), rel=1e-15)
+
+    # above KAPPA_EVAL_MAX the continued fraction's first step overflows
+    # (log I_14(1e9) came out as inf)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf,
+                                     math.nextafter(KAPPA_EVAL_MAX, math.inf), 1e9])
     def test_domain_errors_kappa(self, bad):
         with pytest.raises(ValueError):
             log_bessel_i(1.0, bad)
@@ -113,11 +120,19 @@ class TestBesselRatio:
         with pytest.raises(ValueError):
             bessel_ratio_a(bad_p, 1.0)
 
+    @pytest.mark.parametrize("p", [2, 30, 200])
+    def test_top_of_the_evaluated_range(self, p):
+        assert bessel_ratio_a(p, KAPPA_EVAL_MAX) == pytest.approx(
+            mp_ratio(p, KAPPA_EVAL_MAX), rel=1e-12)
+
     def test_domain_error_kappa(self):
         with pytest.raises(ValueError):
             bessel_ratio_a(3, 0.0)
         with pytest.raises(ValueError):
             bessel_ratio_a(3, -2.0)
+        # A_2 came out as inf above about 3.6e8
+        with pytest.raises(ValueError, match=r"^kappa must lie in \(0, 1e\+08\], got 1000000000\.0$"):
+            bessel_ratio_a(2, 1e9)
 
 
 class TestBesselRatioPrime:

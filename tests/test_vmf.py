@@ -19,12 +19,12 @@ from shmm.vmf import (
     NoConvergenceError,
     ResultantStats,
     VmfParams,
-    ZeroResultantWarning,
     banerjee_init,
     estimate_kappa,
     fit_vmf,
     sample_vmf,
     solve_concentration,
+    vmf_log_density,
     vmf_log_pdf,
 )
 
@@ -82,6 +82,13 @@ class TestLogPdf:
         params = VmfParams(mu=np.array([1.0, 0.0, 0.0]), kappa=2.0, p=3)
         with pytest.raises(ValueError, match=r"m must be unit norm, got \|\|m\|\| = nan"):
             vmf_log_pdf(params, np.array([math.nan, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 30.0])
+    def test_is_the_one_by_one_density(self, kappa):
+        rng = np.random.default_rng(37)
+        params = VmfParams(mu=unit(rng.standard_normal(5)), kappa=kappa, p=5)
+        m = unit(rng.standard_normal(5))
+        assert vmf_log_pdf(params, m) == vmf_log_density([params], m[None])[0, 0]
 
     def test_maximized_at_mean_direction(self):
         rng = np.random.default_rng(3)
@@ -206,6 +213,13 @@ class TestEstimateKappa:
             est = estimate_kappa(stats)
         assert est.kappa == 0.0
 
+    def test_vanished_resultant_returns_zero(self):
+        stats = ResultantStats(resultant=np.zeros(3), weight=2.0)
+        assert stats.r_bar == 0.0
+        with pytest.warns(NearUniformWarning):
+            est = estimate_kappa(stats)
+        assert est == (0.0, 0, 0.0)
+
     def test_resultant_stats_validation(self):
         with pytest.raises(ValueError):
             ResultantStats(resultant=np.array([2.0, 0.0]), weight=1.0)
@@ -266,10 +280,27 @@ class TestBracketSafeguard:
         assert abs(trace.kappas[-1] - oracle) < 1e-10 * max(1.0, kappa_true)
 
     def test_unreachable_target_raises_naming_the_problem(self):
-        # the root (~5e10) lies where A_2' is lost to cancellation, so every
-        # step is a bisection or a doubling and the budget runs out
+        # the root (~5e10) lies far beyond A_2(KAPPA_MAX) ~ 1 - 5e-7, so the
+        # solve refuses the target before it evaluates any ratio
         with pytest.raises(NoConvergenceError, match=r"p=2, r_bar=0\.99999999999\b"):
             solve_concentration(1.0 - 1e-11, 2)
+
+    @pytest.mark.parametrize("p", [2, 100])
+    def test_target_at_or_above_the_cap_raises_without_evaluating(self, p):
+        # the Banerjee start for 1 - 1.1e-16 is ~4.5e17, where one continued
+        # fraction would take minutes
+        def no_ratio(*_):
+            raise AssertionError("a ratio was evaluated")
+
+        for r_bar in (1.0 - 1.1e-16, vmf.ratio_at_cap(p)):
+            with pytest.raises(NoConvergenceError, match=rf"\(p={p}, r_bar={r_bar}\)$"):
+                solve_concentration(r_bar, p, ratio_fn=no_ratio)
+
+    def test_exhausted_budget_raises_naming_the_problem(self):
+        r_bar = bessel_ratio_a(10, 10.0)
+        with pytest.raises(NoConvergenceError,
+                           match=rf"in 1 iterations \(p=10, r_bar={r_bar}\)$"):
+            solve_concentration(r_bar, 10, max_iter=1, kappa0=1e4)
 
     @pytest.mark.parametrize("r_bar", [0.0, 1.0, 1.5, -0.2, math.nan, mp.mpf(1), mp.mpf(0)])
     def test_target_outside_the_open_unit_interval_raises(self, r_bar):
@@ -289,10 +320,10 @@ class TestBracketSafeguard:
         assert not caplog.records
 
     def test_cap_ratio_is_computed_once_per_dimension(self):
-        vmf._ratio_at_cap.cache_clear()
+        vmf.ratio_at_cap.cache_clear()
         for r in (0.3, 0.6, 0.9):
             estimate_kappa(ResultantStats(resultant=np.array([r, 0.0, 0.0, 0.0]), weight=1.0))
-        assert vmf._ratio_at_cap.cache_info().misses == 1
+        assert vmf.ratio_at_cap.cache_info().misses == 1
 
     def test_capped_residual_uses_the_cap_ratio(self):
         cap = bessel_ratio_a(4, KAPPA_MAX)
@@ -315,10 +346,19 @@ class TestFitVmf:
 
     def test_antipodal_vectors_zero_resultant(self):
         vecs = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        with pytest.warns(ZeroResultantWarning):
+        with pytest.warns(NearUniformWarning):
             params = fit_vmf(vecs)
         assert params.kappa == 0.0
         np.testing.assert_allclose(params.mu, [1.0, 0.0])
+
+    def test_resultant_below_the_direction_threshold_has_no_direction(self):
+        # ||R|| = 2e-13 lies in (0, 1e-12 * W): mu is e_1, not R / ||R||
+        vecs = np.array([unit([1.0, 1e-13, 0.0]), unit([-1.0, 1e-13, 0.0])])
+        assert 0.0 < np.linalg.norm(vecs.sum(axis=0)) < 1e-12 * 2.0
+        with pytest.warns(NearUniformWarning):
+            params = fit_vmf(vecs)
+        assert params.kappa == 0.0
+        np.testing.assert_array_equal(params.mu, [1.0, 0.0, 0.0])
 
     def test_round_trip_p30(self):
         p, kappa_true, n = 30, 50.0, 100_000
