@@ -166,6 +166,7 @@ def _write_csv(path: Path, header, rows) -> None:
 def cmd_preprocess(args: argparse.Namespace) -> int:
     # Checked before reading: an input with no records never reaches the per-record checks.
     data_io.check_delta_t(args.delta_t)
+    data_io.check_min_len(args.min_len)
     data_io.check_utc_offset(args.utc_offset)
     table = text_embed.load_keyword_vectors(args.embeddings)
     raw = list(data_io.read_raw_records(args.input))

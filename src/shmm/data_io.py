@@ -132,6 +132,11 @@ def check_delta_t(delta_t: float) -> None:
         raise ValueError(f"delta_t must be a number >= 0, got {delta_t!r}")
 
 
+def check_min_len(min_len: int) -> None:
+    if not min_len >= 1:
+        raise ValueError(f"min_len must be >= 1, got {min_len!r}")
+
+
 def segment_history(
     records: Sequence[SemanticRecord],
     delta_t: float = DEFAULT_DELTA_T,
@@ -142,9 +147,10 @@ def segment_history(
     A new trace starts whenever the gap between consecutive records
     exceeds delta_t; traces shorter than min_len are discarded (their
     record count is reported so callers can account for every input
-    record).  delta_t must be a number >= 0.
+    record).  delta_t must be a number >= 0 and min_len at least 1.
     """
     check_delta_t(delta_t)
+    check_min_len(min_len)
     for a, b in zip(records, records[1:]):
         if b.t_abs < a.t_abs:
             raise ValueError("records must be sorted by t_abs")

@@ -20,7 +20,10 @@ vMF term is `vmf.vmf_log_density`, one (N, p) @ (p, K) product.
 The Gaussian text term uses the expanded quadratic
 sum_j x_j^2/v_j - 2 x_j m_j/v_j + m_j^2/v_j, i.e. two such products,
 rather than the direct (x - m)^2/v, which would need an (N, K, p)
-temporary.  `log_emission` is the 1 x 1 case of the same matrix.
+temporary.  Each term is added into the output with at most three (N, K)
+temporaries, built in place with the association of the one-expression
+form, so every cell has the bits that form gives.  `log_emission` is the
+1 x 1 case of the same matrix.
 
 This is the one module that reads a state's text fields: it also checks,
 re-seeds and serializes states, draws records from them
@@ -204,11 +207,20 @@ def log_emission_matrix(
     """
     times, locs, embeds = (np.asarray(x, dtype=float) for x in (times, locs, embeds))
     out = np.zeros((times.shape[0], len(states)))
+    # Each step below is one operation of the one-expression form, in its
+    # order; each branch frees its temporaries before the next one.
     if config.use_time:
         mu_t = np.array([s.mu_t for s in states])
         sigma_t = np.array([s.sigma_t for s in states])
-        z = (times[:, None] - mu_t) / sigma_t
-        out += -0.5 * z * z - np.log(sigma_t) - 0.5 * _LOG_2PI
+        # ((-0.5 z) z - log sigma) - log(2 pi) / 2, z = (t - mu) / sigma
+        z = times[:, None] - mu_t
+        z /= sigma_t
+        term = -0.5 * z
+        term *= z
+        term -= np.log(sigma_t)
+        term -= 0.5 * _LOG_2PI
+        out += term
+        del z, term
     if config.use_location:
         mu_l = np.array([s.mu_l for s in states])
         cov_l = np.array([s.cov_l for s in states])
@@ -216,19 +228,38 @@ def log_emission_matrix(
         a, b, d = cov_l[:, 0, 0], cov_l[:, 0, 1], cov_l[:, 1, 1]
         dx = locs[:, 0:1] - mu_l[:, 0]
         dy = locs[:, 1:2] - mu_l[:, 1]
-        quad = (d * dx * dx - 2.0 * b * dx * dy + a * dy * dy) / det
-        out += -_LOG_2PI - 0.5 * np.log(det) - 0.5 * quad
+        # (-log(2 pi) - log(det) / 2) - quad / 2, with
+        # quad = ((d dx) dx - ((2b) dx) dy + (a dy) dy) / det
+        quad = d * dx
+        quad *= dx
+        dx *= 2.0 * b
+        dx *= dy
+        quad -= dx
+        np.multiply(a, dy, out=dx)
+        dx *= dy
+        quad += dx
+        quad /= det
+        quad *= 0.5
+        np.subtract(-_LOG_2PI - 0.5 * np.log(det), quad, out=quad)
+        out += quad
+        del dx, dy, quad
     if config.text_model == "vmf":
         out += vmf_log_density([s.text for s in states], embeds)
     elif config.text_model == "gaussian":
         mean = np.array([s.text_mean for s in states])
         var = np.array([s.text_var for s in states])
-        quad = (
-            (embeds * embeds) @ (1.0 / var).T
-            - 2.0 * (embeds @ (mean / var).T)
-            + (mean * mean / var).sum(axis=1)
-        )
-        out += -0.5 * (quad + np.log(var).sum(axis=1) + embeds.shape[1] * _LOG_2PI)
+        # ((quad + sum log v) + p log(2 pi)) (-0.5), with
+        # quad = ((x x) @ (1/v)' - 2 (x @ (m/v)')) + sum m m / v
+        quad = (embeds * embeds) @ (1.0 / var).T
+        cross = embeds @ (mean / var).T
+        cross *= 2.0
+        quad -= cross
+        quad += (mean * mean / var).sum(axis=1)
+        quad += np.log(var).sum(axis=1)
+        quad += embeds.shape[1] * _LOG_2PI
+        quad *= -0.5
+        out += quad
+        del cross, quad
     bad = np.argwhere(~(out < np.inf))  # NaN and +inf; -inf is a zero density
     if bad.size:
         i, k = bad[0]

@@ -20,6 +20,17 @@ allocated once per pass and sized for the first step, and reduced there
 in place: the recursion makes no fresh (n, K, K) temporaries.  The
 backward step exponentiates its block once and reads both the backward
 message and the step's expected transition counts from it.
+
+Memory, in (N, K) arrays of N*K*8 bytes (N records, K states) plus the
+scratch block of sizes[0]*K*K*8 bytes (sizes[0] is the number of traces):
+an E-step holds at most four arrays while `log_emission_matrix` builds its
+output (with at most three temporaries), and three plus the scratch block
+in forward-backward: the emission matrix, its packed copy, and alpha,
+which the backward pass turns into gamma step by step.  Beta lives one
+step at a time in one (sizes[0], K) buffer.  The scratch block and the
+packed copy are freed before gamma goes back into corpus order, and
+`baum_welch` releases each iteration's gamma and emission matrix before
+the next E-step.
 """
 
 from __future__ import annotations
@@ -226,6 +237,10 @@ def _forward_backward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray,
     exponentiates it once.  beta is log(sum over z' of e) + m, and the
     step's xi contribution is e weighted by exp(alpha + m - loglik): that
     weight is at most gamma <= 1, and 0 for a row with no finite term.
+
+    beta is held for one step at a time, and each step's alpha rows become
+    gamma in place once that step's beta is known, with the operations of
+    exp(alpha + beta - loglik) in that order.  log_b is not modified.
     """
     sizes, bounds = packing.sizes, packing.bounds
     log_b = log_b[packing.rows]
@@ -240,11 +255,15 @@ def _forward_backward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray,
         )
 
     ll_sorted = loglik[packing.order]
-    beta = np.zeros_like(log_b)
+    # beta of one step at a time, trace j in row j: rows are only ever
+    # written for traces still running at the next step, so a trace that
+    # ends at a step has beta 0 there
+    beta = np.zeros((sizes[0],) + log_pi.shape)
     xi_sum = np.zeros_like(log_a)
     for t in range(len(sizes) - 2, -1, -1):
         lo, nxt, n = bounds[t], bounds[t + 1], sizes[t + 1]
-        forward_msg = log_b[nxt:nxt + n] + beta[nxt:nxt + n]  # (n, K)
+        _to_gamma(alpha[nxt:nxt + n], beta[:n], ll_sorted[:n])
+        forward_msg = log_b[nxt:nxt + n] + beta[:n]  # (n, K)
         e = np.add(log_a, forward_msg[:, None, :], out=scratch[:n])  # (n, K, K)
         shift = e.max(axis=2, keepdims=True)
         # the unclamped max: a row with no finite term gets weight exp(-inf) = 0
@@ -253,14 +272,22 @@ def _forward_backward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray,
         e -= shift
         np.exp(e, out=e)
         with np.errstate(divide="ignore"):
-            beta[lo:lo + n] = np.log(e.sum(axis=2)) + shift[:, :, 0]
+            beta[:n] = np.log(e.sum(axis=2)) + shift[:, :, 0]
         e *= np.exp(weight)
         xi_sum += e.sum(axis=0)
+    _to_gamma(alpha[: sizes[0]], beta, ll_sorted)
 
-    slot = np.arange(len(log_b)) - np.repeat(bounds[:-1], sizes)
-    gamma = np.empty_like(log_b)
-    gamma[packing.rows] = np.exp(alpha + beta - ll_sorted[slot, None])
+    del scratch, log_b  # freed before gamma is allocated
+    gamma = np.empty_like(alpha)
+    gamma[packing.rows] = alpha
     return gamma, xi_sum, loglik
+
+
+def _to_gamma(alpha: np.ndarray, beta: np.ndarray, loglik: np.ndarray) -> None:
+    """Turn one step's alpha rows into gamma = exp(alpha + beta - loglik), in place."""
+    alpha += beta
+    alpha -= loglik[:, None]
+    np.exp(alpha, out=alpha)
 
 
 @dataclass
@@ -496,6 +523,7 @@ def baum_welch(
             except EmptyStateError:
                 states.append(_reseed_state(bundle, log_b_all, config, n_dead))
                 n_dead += 1
+        del gamma_all, log_b_all  # not held into the next E-step
         pi = _smooth(gamma0)
         trans = np.vstack([_smooth(xi_sum[j]) for j in range(k)])
         model = ShmmModel(

@@ -308,7 +308,10 @@ def vmf_log_density(params: Sequence[VmfParams], x: np.ndarray) -> np.ndarray:
     mu = np.array([q.mu for q in params])
     kappa = np.array([float(q.kappa) for q in params])
     log_c = np.array([vmf_log_norm_const(q.p, float(q.kappa)) for q in params])
-    return log_c + kappa * (x @ mu.T)
+    out = x @ mu.T
+    out *= kappa
+    out += log_c
+    return out
 
 
 def vmf_log_pdf(params: VmfParams, m: np.ndarray) -> float:

@@ -7,13 +7,18 @@ length, with `scipy.special.logsumexp`.
 `packed_forward` and `packed_forward_backward` are the packed pass as it was before it
 moved into one reused scratch block: fresh (n, K, K) temporaries each
 step, and two exps per backward step (one for xi, one for beta).
+
+`scratch_forward_backward` is the scratch-block pass as it was before it
+held beta for one step at a time: a full (N, K) beta, and gamma built from
+fresh temporaries after the backward pass.  The one-step pass must give
+the same bits.
 """
 
 import numpy as np
 from scipy.special import logsumexp
 
 from shmm.emission import log_emission_matrix
-from shmm.hmm_core import NonFiniteLikelihoodError, _Packing
+from shmm.hmm_core import NonFiniteLikelihoodError, _forward, _logsumexp, _Packing
 from shmm.records import stack_records
 
 
@@ -137,6 +142,57 @@ def packed_forward_backward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.nda
         xi_log = alpha[lo:lo + n, :, None] + to_next - ll_sorted[:n, None, None]
         xi_sum += np.exp(xi_log).sum(axis=0)
         beta[lo:lo + n] = packed_logsumexp(to_next, axis=2)
+
+    slot = np.arange(len(log_b)) - np.repeat(bounds[:-1], sizes)
+    gamma = np.empty_like(log_b)
+    gamma[packing.rows] = np.exp(alpha + beta - ll_sorted[slot, None])
+    return gamma, xi_sum, loglik
+
+
+def scratch_forward_backward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray,
+                      packing: _Packing):
+    """Forward-backward over every trace of a packed corpus at once.
+
+    log_b is the (N, K) emission matrix in corpus row order.  Returns
+    (gamma (N, K) in corpus row order, xi_sum (K, K) summed over traces and
+    slots, loglik (B,) in corpus trace order).
+
+    Both passes work in one (sizes[0], K, K) scratch block.  A backward
+    step fills it with e[i, z, z'] = log A(z, z') + log b(z') + beta(z'),
+    subtracts the row max m[i, z] (0 where the row is all -inf) and
+    exponentiates it once.  beta is log(sum over z' of e) + m, and the
+    step's xi contribution is e weighted by exp(alpha + m - loglik): that
+    weight is at most gamma <= 1, and 0 for a row with no finite term.
+    """
+    sizes, bounds = packing.sizes, packing.bounds
+    log_b = log_b[packing.rows]
+    scratch = np.empty((sizes[0],) + log_a.shape)
+    alpha = _forward(log_pi, log_a, log_b, packing, scratch)
+    loglik = np.empty(sizes[0])
+    loglik[packing.order] = _logsumexp(alpha[packing.last], axis=1)
+    bad = np.flatnonzero(~np.isfinite(loglik))
+    if bad.size:
+        raise NonFiniteLikelihoodError(
+            f"log-likelihood of trace {int(bad[0])} is not finite ({loglik[bad[0]]})"
+        )
+
+    ll_sorted = loglik[packing.order]
+    beta = np.zeros_like(log_b)
+    xi_sum = np.zeros_like(log_a)
+    for t in range(len(sizes) - 2, -1, -1):
+        lo, nxt, n = bounds[t], bounds[t + 1], sizes[t + 1]
+        forward_msg = log_b[nxt:nxt + n] + beta[nxt:nxt + n]  # (n, K)
+        e = np.add(log_a, forward_msg[:, None, :], out=scratch[:n])  # (n, K, K)
+        shift = e.max(axis=2, keepdims=True)
+        # the unclamped max: a row with no finite term gets weight exp(-inf) = 0
+        weight = alpha[lo:lo + n, :, None] + shift - ll_sorted[:n, None, None]
+        shift[~np.isfinite(shift)] = 0.0
+        e -= shift
+        np.exp(e, out=e)
+        with np.errstate(divide="ignore"):
+            beta[lo:lo + n] = np.log(e.sum(axis=2)) + shift[:, :, 0]
+        e *= np.exp(weight)
+        xi_sum += e.sum(axis=0)
 
     slot = np.arange(len(log_b)) - np.repeat(bounds[:-1], sizes)
     gamma = np.empty_like(log_b)

@@ -803,6 +803,10 @@ class TestBadInputs:
                      "utc_offset must be finite, got nan", id="utc-offset-nan"),
         pytest.param(_PREPROCESS + " --delta-t nan", None,
                      "delta_t must be a number >= 0, got nan", id="delta-t-nan"),
+        pytest.param(_PREPROCESS + " --min-len 0", None, "min_len must be >= 1, got 0",
+                     id="min-len-zero"),
+        pytest.param(_PREPROCESS + " --min-len -5", _write("raw", ""),
+                     "min_len must be >= 1, got -5", id="empty-input-min-len-negative"),
         pytest.param(_PREPROCESS + " --utc-offset nan", _write("raw", ""),
                      "utc_offset must be finite, got nan", id="empty-input-utc-offset-nan"),
         pytest.param(_PREPROCESS + " --delta-t nan", _write("raw", ""),

@@ -98,6 +98,13 @@ class TestSegmentHistory:
         with pytest.raises(ValueError, match=f"^delta_t must be a number >= 0, got {delta_t}$"):
             segment_history(records, delta_t=delta_t, min_len=1)
 
+    @pytest.mark.parametrize("min_len", [0, -5])
+    def test_min_len_below_one_is_rejected(self, min_len):
+        # a min_len below 1 keeps every segment, as min_len=1 does
+        records = [make_record(t * HOUR) for t in range(3)]
+        with pytest.raises(ValueError, match=f"^min_len must be >= 1, got {min_len}$"):
+            segment_history(records, min_len=min_len)
+
 
 class TestSplitCorpus:
     def _traces(self, n):

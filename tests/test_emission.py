@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from _emission_reference import reference_log_emission_matrix
+from _emission_reference import (
+    reference_log_emission_matrix,
+    vectorized_log_emission_matrix,
+    vectorized_vmf_log_density,
+)
 from shmm.emission import (
     EmissionConfig,
     EmptyStateError,
@@ -79,7 +83,13 @@ def random_records(n, p, rng):
 
 
 def assert_matches_reference(states, config, times, locs, embeds):
+    before = [a.tobytes() for a in (times, locs, embeds)]
     got = log_emission_matrix(states, config, times, locs, embeds)
+    # the in-place pass gives the bits of the one-expression pass it
+    # replaced, and leaves its inputs as they were
+    vectorized = vectorized_log_emission_matrix(states, config, times, locs, embeds)
+    assert got.tobytes() == vectorized.tobytes()
+    assert [a.tobytes() for a in (times, locs, embeds)] == before
     ref = reference_log_emission_matrix(states, config, times, locs, embeds)
     assert got.shape == ref.shape == (len(times), len(states))
     np.testing.assert_array_equal(np.isneginf(got), np.isneginf(ref))
@@ -206,10 +216,13 @@ class TestAllStatesMatrix:
         states = random_states(5, 7, rng)
         times, locs, embeds = random_records(40, 7, rng)
         text_only = EmissionConfig(use_time=False, use_location=False, text_model="vmf")
+        params = [s.text for s in states]
         np.testing.assert_array_equal(
             log_emission_matrix(states, text_only, times, locs, embeds),
-            vmf_log_density([s.text for s in states], embeds),
+            vmf_log_density(params, embeds),
         )
+        assert (vmf_log_density(params, embeds).tobytes()
+                == vectorized_vmf_log_density(params, embeds).tobytes())
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_far_record_gives_minus_inf_in_the_same_cells(self, preset):

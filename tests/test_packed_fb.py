@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from _fb_reference import e_step_by_length, fb_batch, packed_forward, packed_forward_backward
+from _fb_reference import (
+    e_step_by_length,
+    fb_batch,
+    packed_forward,
+    packed_forward_backward,
+    scratch_forward_backward,
+)
 from _helpers import random_model, random_trace
 from shmm import hmm_core, synth
 from shmm.emission import EmissionConfig
@@ -126,7 +132,13 @@ def _assert_matches_packed_reference(log_pi, log_a, log_b, packing):
     alpha = hmm_core._forward(log_pi, log_a, packed_b, packing, scratch)
     assert alpha.tobytes() == packed_forward(log_pi, log_a, packed_b, packing).tobytes()
 
+    before = log_b.tobytes()
     gamma, xi_sum, loglik = hmm_core._forward_backward(log_pi, log_a, log_b, packing)
+    # the one-step beta pass gives the bits of the full-beta pass it replaced,
+    # and leaves log_b, which `_reseed_state` reads after the E-step, as it was
+    full_beta = scratch_forward_backward(log_pi, log_a, log_b, packing)
+    assert [a.tobytes() for a in (gamma, xi_sum, loglik)] == [a.tobytes() for a in full_beta]
+    assert log_b.tobytes() == before
     ref_gamma, ref_xi, ref_loglik = packed_forward_backward(log_pi, log_a, log_b, packing)
     assert loglik.tobytes() == ref_loglik.tobytes()
     np.testing.assert_allclose(gamma, ref_gamma, rtol=0.0, atol=TOL)
