@@ -14,6 +14,7 @@ from .data_io import (
     build_candidate_pool,
     build_pools,
     evaluate_prediction,
+    read_columns,
     read_corpus,
     segment_history,
     split_corpus,
@@ -41,7 +42,7 @@ from .hmm_core import (
     score_next,
     viterbi,
 )
-from .records import SemanticRecord, Trace
+from .records import Corpus, SemanticRecord, Trace
 from .special_fns import bessel_ratio_a, bessel_ratio_a_prime, log_bessel_i
 from .text_embed import (
     KeywordTable,
@@ -66,6 +67,7 @@ from .vmf import (
 __all__ = [
     "KAPPA_MAX",
     "CandidatePool",
+    "Corpus",
     "DimensionMismatchError",
     "EmissionConfig",
     "EmptyCorpusError",
@@ -102,6 +104,7 @@ __all__ = [
     "log_emission",
     "m_step_state",
     "nearest_keywords",
+    "read_columns",
     "read_corpus",
     "sample_vmf",
     "save_model",

@@ -225,7 +225,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    corpus = data_io.read_corpus(args.corpus)
+    corpus = data_io.read_columns(args.corpus)
     config = EmissionConfig.preset(args.preset, sigma_t_floor=args.sigma_t_floor,
                                    var_floor=args.var_floor)
     stop = StopCriteria(rel_tol=args.rel_tol, max_iters=args.max_iters)

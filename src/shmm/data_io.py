@@ -3,7 +3,11 @@
 Raw input is newline-delimited JSON, one record per line with fields
 user_id, timestamp (ISO-8601 or epoch seconds), lon, lat, text; files
 ending in .gz are decompressed transparently.  Preprocessed corpora are
-NDJSON too, one trace per line with embeddings attached.
+NDJSON too, one trace per line with embeddings attached.  A corpus reads
+two ways, by the same record rules and with the same `path:line: reason`
+errors: `read_corpus` keeps its records (`Trace`s of `SemanticRecord`s,
+as prediction uses them), and `read_columns` keeps only their columns (a
+`Corpus`, as training uses it), letting each line's records go.
 
 Candidate pools follow the next-location evaluation protocol: the true
 final record of a test trace is mixed with negatives sampled among
@@ -29,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .hmm_core import ShmmModel, score_next
-from .records import SECONDS_PER_DAY, SemanticRecord, Trace
+from .records import SECONDS_PER_DAY, Corpus, CorpusColumns, SemanticRecord, Trace
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -72,7 +76,11 @@ def to_time_of_day(t_abs: float, utc_offset_s: float) -> float:
 
 
 def _read_ndjson(path, parse):
-    """Yield parse(doc) per non-blank NDJSON line; a bad line raises ValueError as path:line."""
+    """Yield parse(doc) per non-blank NDJSON line; a bad line raises ValueError as path:line.
+
+    A number too large for a float (a JSON integer literal of 400 digits)
+    is a bad line too.
+    """
     with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -84,7 +92,7 @@ def _read_ndjson(path, parse):
                 raise ValueError(f"{path}:{lineno}: invalid JSON") from exc
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             yield value
 
@@ -442,6 +450,25 @@ def _trace_from_doc(doc) -> Trace:
     ])
 
 
-def read_corpus(path) -> list[Trace]:
-    """Read a corpus written by `write_corpus`; a bad line raises ValueError as path:line."""
-    return list(_read_ndjson(path, _trace_from_doc))
+def read_corpus(path, into=None) -> list[Trace]:
+    """Read a corpus written by `write_corpus`; a bad line raises ValueError as path:line.
+
+    Each line's `Trace` is appended to into as soon as it is read, and
+    into is returned: a new list by default.  An error the append raises
+    is located at the line like any other.
+    """
+    traces = [] if into is None else into
+    for _ in _read_ndjson(path, lambda doc: traces.append(_trace_from_doc(doc))):
+        pass
+    return traces
+
+
+def read_columns(path) -> Corpus:
+    """Read a corpus written by `write_corpus` into a columnar `Corpus`, keeping no records.
+
+    Each line is read by `read_corpus`, with its checks and its `path:line:
+    reason` errors, and only its trace's columns are kept: no record lives
+    past its line.  A line whose embedding dimension differs from the first
+    line's raises ValueError as `path:line: trace embedding dim 5 != corpus 4`.
+    """
+    return read_corpus(path, into=CorpusColumns()).corpus()

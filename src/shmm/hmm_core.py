@@ -56,7 +56,13 @@ from .emission import (
     state_from_dict,
     state_to_dict,
 )
-from .records import Trace, stack_records
+from .records import (
+    Corpus,
+    DimensionMismatchError,
+    Trace,
+    check_embedding_dims,
+    stack_records,
+)
 
 #: Additive probability floor applied to pi and every transition row each
 #: M-step (then renormalized); prevents log(0) on unseen transitions.
@@ -70,10 +76,6 @@ logger = logging.getLogger(__name__)
 
 MODEL_FORMAT = "shmm-model"
 MODEL_FORMAT_VERSION = 1
-
-
-class DimensionMismatchError(ValueError):
-    """Trace/record dimensions do not match the model."""
 
 
 class NonFiniteLikelihoodError(RuntimeError):
@@ -301,31 +303,18 @@ class _CorpusBundle:
     packing: _Packing
 
 
-def _bundle_corpus(corpus: Sequence[Trace]) -> _CorpusBundle:
-    """Flat record arrays of a corpus, stacked in one pass: the one place a fit reads traces.
+def _bundle_corpus(corpus: Corpus | Sequence[Trace]) -> _CorpusBundle:
+    """A corpus's flat record arrays: the one place a fit reads traces.
 
-    The first record sets the embedding dimension; a trace of another
-    dimension raises, named by its position.
+    A `Corpus` gives its columns without copying; any other sequence of
+    traces is stacked into one, so its first record sets the embedding
+    dimension and a trace of another raises, named by its position.
     """
     if len(corpus) == 0:
         raise EmptyCorpusError("corpus contains no traces")
-    check_embedding_dims(corpus, len(corpus[0][0].embedding))
-    times, locs, embeds = stack_records([r for trace in corpus for r in trace])
-    return _CorpusBundle(times, locs, embeds, _pack([len(t) for t in corpus]))
-
-
-def check_embedding_dims(corpus: Sequence[Trace], embedding_dim: int) -> None:
-    """Raise DimensionMismatchError for the first trace of another embedding dim.
-
-    The message names the trace by position, as in `trace 7: trace
-    embedding dim 5 != model 4`.  Reads each trace's first record only: a
-    `Trace` holds at least one record and one embedding length.
-    """
-    for i, trace in enumerate(corpus):
-        dim = len(trace[0].embedding)
-        if dim != embedding_dim:
-            raise DimensionMismatchError(
-                f"trace {i}: trace embedding dim {dim} != model {embedding_dim}")
+    if not isinstance(corpus, Corpus):
+        corpus = Corpus(corpus)
+    return _CorpusBundle(corpus.t_day, corpus.locs, corpus.embeds, _pack(corpus.lengths))
 
 
 def _log_probs(model: ShmmModel):
@@ -478,7 +467,7 @@ def _init_from_kmeans(bundle: _CorpusBundle, k: int, config: EmissionConfig,
 
 
 def baum_welch(
-    corpus: Sequence[Trace],
+    corpus: Corpus | Sequence[Trace],
     k: int,
     config: EmissionConfig,
     init: KMeansInit | ShmmModel = KMeansInit(),
@@ -486,11 +475,13 @@ def baum_welch(
 ):
     """Fit a K-state model to a corpus of traces by EM.
 
-    Returns (model, history) where history[i] carries the corpus
-    log-likelihood under the parameters entering iteration i (and the
-    iteration's wall-clock seconds).  The log-likelihood sequence is
-    non-decreasing up to tiny smoothing-induced slack; iteration stops at
-    relative improvement < stop.rel_tol or at stop.max_iters.
+    corpus is a `Corpus`, whose columns the fit reads in place, or a list
+    of `Trace`s, stacked once at the start.  Returns (model, history)
+    where history[i] carries the corpus log-likelihood under the
+    parameters entering iteration i (and the iteration's wall-clock
+    seconds).  The log-likelihood sequence is non-decreasing up to tiny
+    smoothing-induced slack; iteration stops at relative improvement <
+    stop.rel_tol or at stop.max_iters.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -649,10 +640,10 @@ def load_model(path) -> ShmmModel:
     """Read a model written by `save_model`.
 
     A file that is not JSON, misses a key, holds a value of the wrong type
-    or shape, or holds parts that do not fit together (a pi of the wrong
-    length, a state without the text parameters its text_model needs, a
-    non-finite or not positive definite state parameter) raises
-    ValueError as `path: reason`.
+    or shape or a number too large for a float, or holds parts that do not
+    fit together (a pi of the wrong length, a state without the text
+    parameters its text_model needs, a non-finite or not positive definite
+    state parameter) raises ValueError as `path: reason`.
     """
     try:
         return model_from_dict(json.loads(Path(path).read_text()))
@@ -660,7 +651,7 @@ def load_model(path) -> ShmmModel:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

@@ -16,6 +16,8 @@ from shmm.records import Trace
 from shmm.synth import planted_model, sample_corpus
 from shmm import data_io
 
+from _helpers import assert_readers_agree
+
 
 @pytest.fixture
 def vectors_file(tmp_path):
@@ -727,6 +729,30 @@ def _corpus_field(key, value):
     return mutate
 
 
+def _other_dim_line(lineno):
+    """Mutation: give every record on corpus line lineno a dim-5 embedding."""
+    def mutate(files):
+        lines = files["corpus"].read_text().splitlines()
+        doc = json.loads(lines[lineno - 1])
+        for record in doc["records"]:
+            record["embedding"] = [0.6, 0.0, 0.8, 0.0, 0.0]
+        lines[lineno - 1] = json.dumps(doc)
+        files["corpus"].write_text("\n".join(lines) + "\n")
+    return mutate
+
+
+#: The corpus mutations of TestBadInputs, by row id.
+_BAD_CORPUS = {
+    "predict-empty-trace": _replace_line("corpus", 3, json.dumps({"user_id": "u", "records": []})),
+    "corpus-t_abs-bool": _corpus_field("t_abs", True),
+    "corpus-lon-bool": _corpus_field("lon", True),
+    "corpus-embedding-2d": _corpus_field("embedding", [[0.6, 0.8, 0.0, 0.0]]),
+    "corpus-embedding-scalar": _corpus_field("embedding", 1.0),
+    "corpus-embedding-bool": _corpus_field("embedding", [True, False, False, False]),
+    "corpus-t_abs-overflow": _corpus_field("t_abs", 10 ** 400),
+    "predict-corpus-embedding-overflow": _corpus_field("embedding", [10 ** 400, 0, 0, 0]),
+}
+
 _PREPROCESS = "preprocess --input {raw} --embeddings {vectors}"
 _TRAIN = "train --corpus {corpus} --k 2 --max-iters 2"
 _SUMMARIZE = "summarize --model {model} --embeddings {vectors}"
@@ -773,6 +799,8 @@ class TestBadInputs:
                      id="model-pi-wrong-length"),
         pytest.param(_SUMMARIZE, _edit_model(lambda d: d["states"][0].update(mu_t=float("nan"))),
                      "{model}: state 0: mu_t must be finite", id="model-nan-mu_t"),
+        pytest.param(_PREDICT, _edit_model(lambda d: d["states"][0].update(mu_t=10 ** 400)),
+                     "{model}: int too large to convert to float", id="model-mu_t-overflow"),
         pytest.param(_PREDICT,
                      _edit_model(lambda d: d["states"][1].update(cov_l=[[1.0, 2.0], [2.0, 1.0]])),
                      "{model}: cov_l of state 1 is not positive definite",
@@ -811,22 +839,28 @@ class TestBadInputs:
                      "utc_offset must be finite, got nan", id="empty-input-utc-offset-nan"),
         pytest.param(_PREPROCESS + " --delta-t nan", _write("raw", ""),
                      "delta_t must be a number >= 0, got nan", id="empty-input-delta-t-nan"),
-        pytest.param(_PREDICT,
-                     _replace_line("corpus", 3, json.dumps({"user_id": "u", "records": []})),
+        pytest.param(_PREDICT, _BAD_CORPUS["predict-empty-trace"],
                      "{corpus}:3: a trace needs at least one record", id="predict-empty-trace"),
-        pytest.param(_TRAIN, _corpus_field("t_abs", True),
+        pytest.param(_TRAIN, _BAD_CORPUS["corpus-t_abs-bool"],
                      "{corpus}:2: t_abs must be a number, got true", id="corpus-t_abs-bool"),
-        pytest.param(_PREDICT, _corpus_field("lon", True),
+        pytest.param(_PREDICT, _BAD_CORPUS["corpus-lon-bool"],
                      "{corpus}:2: lon must be a number, got true", id="corpus-lon-bool"),
-        pytest.param(_TRAIN, _corpus_field("embedding", [[0.6, 0.8, 0.0, 0.0]]),
+        pytest.param(_TRAIN, _BAD_CORPUS["corpus-embedding-2d"],
                      "{corpus}:2: embedding must be a vector, got shape \\(1, 4\\)",
                      id="corpus-embedding-2d"),
-        pytest.param(_TRAIN, _corpus_field("embedding", 1.0),
+        pytest.param(_TRAIN, _BAD_CORPUS["corpus-embedding-scalar"],
                      "{corpus}:2: embedding must be a vector, got shape \\(\\)",
                      id="corpus-embedding-scalar"),
-        pytest.param(_TRAIN, _corpus_field("embedding", [True, False, False, False]),
+        pytest.param(_TRAIN, _BAD_CORPUS["corpus-embedding-bool"],
                      "{corpus}:2: embedding coordinates must be numbers, got a JSON boolean",
                      id="corpus-embedding-bool"),
+        pytest.param(_TRAIN, _BAD_CORPUS["corpus-t_abs-overflow"],
+                     "{corpus}:2: int too large to convert to float", id="corpus-t_abs-overflow"),
+        pytest.param(_PREDICT, _BAD_CORPUS["predict-corpus-embedding-overflow"],
+                     "{corpus}:2: int too large to convert to float",
+                     id="predict-corpus-embedding-overflow"),
+        pytest.param(_TRAIN, _other_dim_line(4), "{corpus}:4: trace embedding dim 5 != corpus 4",
+                     id="corpus-other-embedding-dim"),
         pytest.param(_TRAIN + " --seed -1", None, "--seed must be >= 0, got -1",
                      id="train-seed-negative"),
         pytest.param(_PREDICT + " --seed -1", None, "--seed must be >= 0, got -1",
@@ -860,6 +894,8 @@ class TestBadInputs:
                      "{raw}:2: lon must be a number, got false", id="raw-lon-bool"),
         pytest.param(_PREPROCESS, _raw_field("lat", True),
                      "{raw}:2: lat must be a number, got true", id="raw-lat-bool"),
+        pytest.param(_PREPROCESS, _raw_field("timestamp", 10 ** 400),
+                     "{raw}:2: int too large to convert to float", id="raw-timestamp-overflow"),
     ])
     def test_fails_with_one_located_error_line(self, tmp_path, capsys, files, command, mutate,
                                                expected):
@@ -875,3 +911,8 @@ class TestBadInputs:
         assert re.fullmatch(pattern, captured.err.rstrip("\n")), captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", sorted(_BAD_CORPUS))
+    def test_train_reader_gives_the_record_readers_message(self, files, name):
+        _BAD_CORPUS[name](files)
+        assert assert_readers_agree(files["corpus"]) is None

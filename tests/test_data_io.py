@@ -16,6 +16,7 @@ from shmm.data_io import (
     evaluate_prediction,
     haversine_m,
     parse_timestamp,
+    read_columns,
     read_corpus,
     segment_history,
     split_corpus,
@@ -26,6 +27,7 @@ from shmm.records import SemanticRecord, Trace, stack_records
 from shmm.synth import planted_model, sample_corpus
 
 import _pool_reference
+from _helpers import assert_readers_agree
 
 
 def unit(v):
@@ -497,6 +499,27 @@ class TestEvaluatePrediction:
             build_pools(tests, index, 3500.0, 300.0)
 
 
+#: Edits of one record that `_trace_from_doc` rejects, with the reason it gives.
+BAD_RECORD_EDITS = [
+    pytest.param(lambda doc: doc["records"][1].pop("t_day"), "missing field 't_day'",
+                 id="missing-field"),
+    pytest.param(lambda doc: doc["records"][0].update(embedding=[1.0, 1.0, 0.0]),
+                 "embedding must be unit norm", id="non-unit-embedding"),
+    pytest.param(lambda doc: doc["records"][0].update(lon="east"), "could not convert",
+                 id="bad-value"),
+    *[pytest.param(lambda doc, name=name: doc["records"][0].update({name: True}),
+                   f"{name} must be a number, got true$", id=f"{name}-bool")
+      for name in ("t_abs", "t_day", "lon", "lat")],
+    pytest.param(lambda doc: doc["records"][0].update(embedding=[[1.0, 0.0, 0.0]]),
+                 r"embedding must be a vector, got shape \(1, 3\)$", id="embedding-2d"),
+    pytest.param(lambda doc: doc["records"][0].update(embedding=1.0),
+                 r"embedding must be a vector, got shape \(\)$", id="embedding-scalar"),
+    pytest.param(lambda doc: doc["records"][0].update(embedding=[True, False, False]),
+                 "embedding coordinates must be numbers, got a JSON boolean$",
+                 id="embedding-bool"),
+]
+
+
 class TestTimestampsAndPersistence:
     def test_parse_epoch_and_iso(self):
         assert parse_timestamp(1_400_000_000) == 1_400_000_000.0
@@ -546,24 +569,7 @@ class TestTimestampsAndPersistence:
         loaded = read_corpus(path)
         assert len(loaded[0]) == 2
 
-    @pytest.mark.parametrize("edit, message", [
-        pytest.param(lambda doc: doc["records"][1].pop("t_day"), "missing field 't_day'",
-                     id="missing-field"),
-        pytest.param(lambda doc: doc["records"][0].update(embedding=[1.0, 1.0, 0.0]),
-                     "embedding must be unit norm", id="non-unit-embedding"),
-        pytest.param(lambda doc: doc["records"][0].update(lon="east"), "could not convert",
-                     id="bad-value"),
-        *[pytest.param(lambda doc, name=name: doc["records"][0].update({name: True}),
-                       f"{name} must be a number, got true$", id=f"{name}-bool")
-          for name in ("t_abs", "t_day", "lon", "lat")],
-        pytest.param(lambda doc: doc["records"][0].update(embedding=[[1.0, 0.0, 0.0]]),
-                     r"embedding must be a vector, got shape \(1, 3\)$", id="embedding-2d"),
-        pytest.param(lambda doc: doc["records"][0].update(embedding=1.0),
-                     r"embedding must be a vector, got shape \(\)$", id="embedding-scalar"),
-        pytest.param(lambda doc: doc["records"][0].update(embedding=[True, False, False]),
-                     "embedding coordinates must be numbers, got a JSON boolean$",
-                     id="embedding-bool"),
-    ])
+    @pytest.mark.parametrize("edit, message", BAD_RECORD_EDITS)
     def test_bad_record_is_located(self, tmp_path, edit, message):
         path = tmp_path / "corpus.ndjson"
         write_corpus([Trace([make_record(0.0), make_record(50.0)])] * 3, path)
@@ -670,3 +676,125 @@ class TestTimestampsAndPersistence:
         for a, b in zip(pools_a, pools_b):
             assert a.truth_index == b.truth_index
             assert [id(c) for c in a.candidates] == [id(c) for c in b.candidates]
+
+
+def _edited_corpus(path, traces, lineno, edit):
+    """Write traces to path, then apply edit to the decoded document on line lineno."""
+    write_corpus(traces, path)
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[lineno - 1])
+    edit(doc)
+    lines[lineno - 1] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _set(index, **fields):
+    """Edit: set fields of record index."""
+    return lambda doc: doc["records"][index].update(fields)
+
+
+#: Line edits that `_trace_from_doc` accepts or rejects, each read by both readers.
+LINE_EDITS = [
+    pytest.param(_set(1, embedding=[math.nan, 0.0, 0.0]), id="nan-embedding"),
+    pytest.param(_set(1, t_abs=math.nan), id="nan-t_abs"),
+    pytest.param(_set(0, lon=math.nan), id="nan-lon"),
+    pytest.param(lambda doc: doc.update(records=[]), id="empty-trace"),
+    pytest.param(_set(1, t_abs=10 ** 400), id="overflowing-t_abs"),
+    pytest.param(_set(1, embedding=[10 ** 400, 0, 0]), id="overflowing-coordinate"),
+    pytest.param(_set(1, embedding=[]), id="empty-embedding"),
+    pytest.param(_set(1, embedding=[0.6, 0.8, 0.0, 0.0]), id="mixed-embedding-lengths"),
+    pytest.param(_set(1, t_abs=-1.0), id="unordered-t_abs"),
+    pytest.param(_set(1, t_day=86_400.0), id="t_day-past-midnight"),
+    pytest.param(_set(1, t_day=-0.0), id="t_day-negative-zero"),
+    pytest.param(lambda doc: doc.pop("user_id"), id="missing-user_id"),
+    pytest.param(lambda doc: doc.update(records={"t_abs": 0.0}), id="records-an-object"),
+    pytest.param(lambda doc: doc["records"].append([0.0]), id="record-a-list"),
+    pytest.param(_set(1, t_abs="50.5"), id="t_abs-a-numeric-string"),
+    pytest.param(_set(1, t_abs=2 ** 53 + 1), id="t_abs-int-beyond-2**53"),
+    pytest.param(_set(0, t_abs=0, t_day=0, lon=0, lat=-2, embedding=[0, 1, 0]),
+                 id="all-int-record"),
+    pytest.param(_set(1, embedding=[0, 0, 1]), id="int-embedding"),
+    pytest.param(_set(1, embedding=[0.6, 0.8]), id="shorter-trace-embedding"),
+    pytest.param(_set(0, text="true story"), id="text-holding-true"),
+    pytest.param(lambda doc: doc.update(user_id=5), id="int-user_id"),
+    pytest.param(lambda doc: doc.update(user_id=False), id="bool-user_id"),
+    pytest.param(lambda doc: doc.update(records=doc["records"][:1]), id="one-record-trace"),
+]
+
+
+class TestReadColumns:
+    """`read_columns` against `read_corpus` as the oracle (`assert_readers_agree`)."""
+
+    def test_uniform_lengths(self, tmp_path):
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(sample_corpus(planted_model(5, 30, seed=1), 40, 20, seed=2), path)
+        assert assert_readers_agree(path) is not None
+
+    def test_mixed_lengths(self, tmp_path):
+        model = planted_model(4, 30, seed=3)
+        lengths = 1 + np.random.default_rng(4).geometric(1 / 12, size=60)
+        traces = [sample_corpus(model, 1, int(n), seed=i)[0] for i, n in enumerate(lengths)]
+        for i, trace in enumerate(traces):
+            for record in trace:
+                record.user_id = f"user-{i}"
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(traces, path)
+        assert assert_readers_agree(path) is not None
+
+    def test_one_record_traces_with_int_numbers_and_texts(self, tmp_path):
+        traces = [Trace([SemanticRecord(user_id=f"u{i}", t_abs=float(i), t_day=float(i),
+                                        loc=np.array([i, -i], dtype=float),
+                                        embedding=np.eye(3)[i % 3], raw_text=text)])
+                  for i, text in enumerate(["a", None, "", "c d"])]
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(traces, path)
+        # int literals and texts of other JSON types, on a line of its own
+        path.write_text(path.read_text() + json.dumps({"user_id": 7, "records": [
+            {"t_abs": 3, "t_day": 4, "lon": 5, "lat": 6, "embedding": [0, 1, 0], "text": 8},
+            {"t_abs": 4, "t_day": 5.5, "lon": 5, "lat": 6, "embedding": [1, 0, 0],
+             "text": {"a": [1]}},
+            {"t_abs": 5, "t_day": 6, "lon": 5, "lat": 6, "embedding": [0.6, 0, 0.8]},
+        ]}) + "\n")
+        corpus = assert_readers_agree(path)
+        assert corpus.texts == ("a", None, "", "c d", "8", "{'a': [1]}", None)
+
+    def test_gzip(self, tmp_path):
+        path = tmp_path / "corpus.ndjson.gz"
+        write_corpus(sample_corpus(planted_model(3, 5, seed=5), 6, 4, seed=6), path)
+        assert assert_readers_agree(path) is not None
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "corpus.ndjson"
+        path.write_text("\n")
+        corpus = read_columns(path)
+        assert len(corpus) == 0 and corpus.embeds.shape == (0, 0)
+
+    @pytest.mark.parametrize("edit, message", BAD_RECORD_EDITS)
+    def test_bad_record_edits(self, tmp_path, edit, message):
+        path = _edited_corpus(tmp_path / "corpus.ndjson",
+                              [Trace([make_record(0.0), make_record(50.0)])] * 3, 2, edit)
+        assert assert_readers_agree(path) is None
+
+    @pytest.mark.parametrize("lineno", [1, 3])
+    @pytest.mark.parametrize("edit", LINE_EDITS)
+    def test_line_edits(self, tmp_path, edit, lineno):
+        path = _edited_corpus(tmp_path / "corpus.ndjson",
+                              [Trace([make_record(0.0), make_record(50.0)])] * 3, lineno, edit)
+        assert_readers_agree(path)
+
+    def test_invalid_json(self, tmp_path):
+        path = tmp_path / "corpus.ndjson"
+        write_corpus([Trace([make_record(0.0), make_record(50.0)])] * 2, path)
+        path.write_text(path.read_text() + "\n{not json\n[1, 2]\n")
+        assert assert_readers_agree(path) is None
+
+    def test_other_embedding_dim_names_its_line(self, tmp_path):
+        path = tmp_path / "corpus.ndjson"
+        traces = [Trace([make_record(0.0), make_record(50.0)])] * 5
+        traces[3] = Trace([make_record(0.0, p=5), make_record(50.0, p=5)])
+        write_corpus(traces, path)
+        assert len(read_corpus(path)) == 5
+        with pytest.raises(ValueError) as info:
+            read_columns(path)
+        assert str(info.value) == f"{path}:4: trace embedding dim 5 != corpus 3"

@@ -1,4 +1,5 @@
-"""How many (N, K) arrays the E-step and the EM loop hold at once.
+"""What a fit holds: the corpus columns once, and how many (N, K) arrays
+the E-step and the EM loop hold at once.
 
 numpy reports its data buffers to tracemalloc, so the traced peak of a
 call counts the arrays it holds at once.  Bounds are in units of one
@@ -7,14 +8,18 @@ whose forward-backward scratch block (sizes[0] * K * K * 8 bytes, sizes[0]
 the number of traces) is one unit as well.
 """
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from shmm import hmm_core, synth
+from shmm import cli, data_io, hmm_core, synth
+from shmm.cli import main
 from shmm.emission import EmissionConfig, log_emission_matrix
 from shmm.hmm_core import KMeansInit, StopCriteria, baum_welch
+from shmm.records import Corpus, CorpusColumns, SemanticRecord
 
 K, N_TRACES, LENGTH = 20, 200, 20
 UNIT = N_TRACES * LENGTH * K * 8
@@ -73,3 +78,90 @@ def test_em_iterations_hold_nothing_into_the_next_e_step(fit_inputs):
         for max_iters in (1, 3)
     ]
     assert peaks[1] <= peaks[0] + 1.0
+
+
+@pytest.fixture
+def corpus_file(tmp_path):
+    path = tmp_path / "corpus.ndjson"
+    data_io.write_corpus(synth.sample_corpus(synth.planted_model(3, 8, seed=5), 30, 6, seed=6),
+                         path)
+    return path
+
+
+def _train(corpus_file, out):
+    return main(["train", "--corpus", str(corpus_file), "--k", "3", "--max-iters", "2",
+                 "--output-dir", str(out)])
+
+
+def test_no_record_outlives_its_line(corpus_file, tmp_path, monkeypatch):
+    # every record is built by the record rules, and only its line's are alive
+    # when the line's columns are kept; the fit starts with none
+    built = []
+    post_init = SemanticRecord.__post_init__
+
+    def tracking_post_init(self):
+        post_init(self)
+        built.append(weakref.ref(self))
+
+    def alive():
+        return sum(ref() is not None for ref in built)
+
+    alive_at_append = []
+    append = CorpusColumns.append
+
+    def checking_append(self, trace):
+        alive_at_append.append(alive() - len(trace))
+        append(self, trace)
+
+    alive_at_fit = []
+    fit = cli.baum_welch
+
+    def checking_fit(*args, **kwargs):
+        gc.collect()
+        alive_at_fit.append(alive())
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(SemanticRecord, "__post_init__", tracking_post_init)
+    monkeypatch.setattr(CorpusColumns, "append", checking_append)
+    monkeypatch.setattr(cli, "baum_welch", checking_fit)
+    assert _train(corpus_file, tmp_path / "out") == 0
+    assert alive_at_append == [0] * 30
+    assert alive_at_fit == [0] and len(built) == 180
+
+
+def test_fit_reads_the_corpus_columns_in_place(corpus_file, tmp_path, monkeypatch):
+    bundled = []
+    bundle_corpus = hmm_core._bundle_corpus
+
+    def recording_bundle_corpus(corpus):
+        bundle = bundle_corpus(corpus)
+        bundled.append((corpus, bundle))
+        return bundle
+
+    monkeypatch.setattr(hmm_core, "_bundle_corpus", recording_bundle_corpus)
+    assert _train(corpus_file, tmp_path / "out") == 0
+    [(corpus, bundle)] = bundled
+    assert isinstance(corpus, Corpus)
+    for got, column in ((bundle.times, corpus.t_day), (bundle.locs, corpus.locs),
+                        (bundle.embeds, corpus.embeds)):
+        assert np.shares_memory(got, column)
+
+
+@pytest.mark.parametrize("name", ["t_abs", "t_day", "locs", "embeds", "lengths"])
+def test_corpus_columns_are_read_only(corpus_file, name):
+    column = getattr(data_io.read_columns(corpus_file), name)
+    with pytest.raises(ValueError, match="read-only"):
+        column[0] = 1
+
+
+def test_a_corpus_is_built_from_traces_only(corpus_file):
+    traces = data_io.read_corpus(corpus_file)
+    corpus = data_io.read_columns(corpus_file)
+    with pytest.raises(TypeError):
+        Corpus(corpus.t_abs, corpus.t_day, corpus.locs, corpus.embeds, corpus.lengths,
+               corpus.user_ids, corpus.texts)
+    with pytest.raises(TypeError, match="^a corpus holds Traces, got list$"):
+        Corpus([list(trace) for trace in traces])
+    rebuilt = Corpus(traces)
+    for name in ("t_abs", "t_day", "locs", "embeds", "lengths"):
+        np.testing.assert_array_equal(getattr(rebuilt, name), getattr(corpus, name))
