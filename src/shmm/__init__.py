@@ -23,6 +23,7 @@ from .data_io import (
 from .emission import (
     EmissionConfig,
     EmptyStateError,
+    GaussianText,
     StateParams,
     log_emission,
     m_step_state,
@@ -72,6 +73,7 @@ __all__ = [
     "EmissionConfig",
     "EmptyCorpusError",
     "EmptyStateError",
+    "GaussianText",
     "KMeansInit",
     "KappaEstimate",
     "KeywordTable",

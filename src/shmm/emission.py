@@ -6,8 +6,8 @@ record log-density is the sum of the enabled per-modality log-densities:
 * time of day: univariate Gaussian N(mu_t, sigma_t^2), seconds since
   midnight, no circular wraparound;
 * location: bivariate Gaussian N(mu_l, cov_l);
-* text embedding: vMF(mu, kappa) on the unit sphere, or per-coordinate
-  independent Gaussians (the GHMM baseline), or nothing.
+* text embedding: vMF(mu, kappa) on the unit sphere (`VmfParams`), or
+  per-coordinate independent Gaussians (`GaussianText`, the GHMM baseline).
 
 Configuration toggles realize the baselines: location-only (HMM),
 location+time (ST-HMM), all three with Gaussian text (GHMM), and the full
@@ -25,10 +25,10 @@ temporaries, built in place with the association of the one-expression
 form, so every cell has the bits that form gives.  `log_emission` is the
 1 x 1 case of the same matrix.
 
-This is the one module that reads a state's text fields: it also checks,
-re-seeds and serializes states, draws records from them
-(`sample_emissions`) and names each state's text direction
-(`text_direction`).
+A state holds the one text model its config names, or none.  This is the
+one module that reads it: it also checks, re-seeds and serializes states,
+draws records from them (`sample_emissions`) and names each state's text
+direction (`text_direction`).
 """
 
 from __future__ import annotations
@@ -120,23 +120,30 @@ class EmissionConfig:
             raise ValueError(f"unknown preset {name!r}; choose from {sorted(presets)}") from None
 
 
+@dataclass(frozen=True)
+class GaussianText:
+    """Diagonal-Gaussian text parameters of one state (the GHMM baseline):
+    the per-coordinate mean and variance of the embedding, float arrays."""
+
+    mean: np.ndarray
+    var: np.ndarray
+
+
 @dataclass
 class StateParams:
     """Emission parameters of one latent state.
 
     sigma_t is a standard deviation (seconds).  cov_l is 2x2 symmetric
     positive definite with eigenvalues >= the configured variance floor.
-    text holds the vMF parameters; text_mean/text_var hold the
-    diagonal-Gaussian parameters instead when the GHMM baseline is active.
+    text is the one text model config.text_model names (`check_states`):
+    `VmfParams` for 'vmf', `GaussianText` for 'gaussian', None for 'none'.
     """
 
     mu_t: float
     sigma_t: float
     mu_l: np.ndarray
     cov_l: np.ndarray
-    text: VmfParams | None = None
-    text_mean: np.ndarray | None = None
-    text_var: np.ndarray | None = None
+    text: VmfParams | GaussianText | None = None
 
     def __post_init__(self):
         self.mu_l = np.asarray(self.mu_l, dtype=float)
@@ -147,9 +154,6 @@ class StateParams:
             raise ValueError("mu_l must be a 2-vector and cov_l a 2x2 matrix")
         if abs(self.cov_l[0, 1] - self.cov_l[1, 0]) > 1e-12 * (1.0 + abs(self.cov_l[0, 1])):
             raise ValueError("cov_l must be symmetric")
-        if self.text_mean is not None:
-            self.text_mean = np.asarray(self.text_mean, dtype=float)
-            self.text_var = np.asarray(self.text_var, dtype=float)
 
 
 def check_positive_definite(cov_l: np.ndarray) -> np.ndarray:
@@ -173,21 +177,21 @@ def check_states(states: Sequence[StateParams], config: EmissionConfig,
     embedding_dim, or with a cov_l that is not positive definite."""
     p, text_model = embedding_dim, config.text_model
     for j, s in enumerate(states):
-        for name in ("mu_t", "sigma_t", "mu_l", "cov_l", "text_mean"):
-            value = getattr(s, name)
-            if value is not None and not np.all(np.isfinite(value)):
+        for name in ("mu_t", "sigma_t", "mu_l", "cov_l"):
+            if not np.all(np.isfinite(getattr(s, name))):
                 raise ValueError(f"state {j}: {name} must be finite")
-        if text_model == "vmf" and (s.text is None or s.text.p != p):
+        text = s.text
+        if text_model == "vmf" and not (isinstance(text, VmfParams) and text.p == p):
             raise ValueError(f"state {j}: text_model 'vmf' needs vMF text parameters "
                              f"of dimension {p}")
-        if text_model == "gaussian" and not (
-            np.shape(s.text_mean) == (p,) and np.shape(s.text_var) == (p,)
-            and np.all((s.text_var > 0.0) & (s.text_var < np.inf))
-        ):
-            raise ValueError(
-                f"state {j}: text_model 'gaussian' needs text_mean and positive finite "
-                f"text_var of shape ({p},)"
-            )
+        if text_model == "gaussian":
+            gaussian = isinstance(text, GaussianText)
+            if gaussian and not np.all(np.isfinite(text.mean)):
+                raise ValueError(f"state {j}: text_mean must be finite")
+            if not (gaussian and text.mean.shape == text.var.shape == (p,)
+                    and np.all((text.var > 0.0) & (text.var < np.inf))):
+                raise ValueError(f"state {j}: text_model 'gaussian' needs text_mean and "
+                                 f"positive finite text_var of shape ({p},)")
     check_positive_definite(np.array([s.cov_l for s in states]))
 
 
@@ -246,8 +250,8 @@ def log_emission_matrix(
     if config.text_model == "vmf":
         out += vmf_log_density([s.text for s in states], embeds)
     elif config.text_model == "gaussian":
-        mean = np.array([s.text_mean for s in states])
-        var = np.array([s.text_var for s in states])
+        mean = np.array([s.text.mean for s in states])
+        var = np.array([s.text.var for s in states])
         # ((quad + sum log v) + p log(2 pi)) (-0.5), with
         # quad = ((x x) @ (1/v)' - 2 (x @ (m/v)')) + sum m m / v
         quad = (embeds * embeds) @ (1.0 / var).T
@@ -307,12 +311,12 @@ def sample_emissions(states: Sequence[StateParams], config: EmissionConfig,
 
 def text_direction(state: StateParams, config: EmissionConfig):
     """(direction, kappa) of a state's text component under config.text_model:
-    the vMF mean direction and concentration for 'vmf', text_mean and None
-    for 'gaussian', (None, None) for 'none'."""
+    the vMF mean direction and concentration for 'vmf', the Gaussian text
+    mean and None for 'gaussian', (None, None) for 'none'."""
     if config.text_model == "vmf":
         return state.text.mu, float(state.text.kappa)
     if config.text_model == "gaussian":
-        return state.text_mean, None
+        return state.text.mean, None
     return None, None
 
 
@@ -356,67 +360,59 @@ def m_step_state(
     cov_l = (centered * w[:, None]).T @ centered
     cov_l = _floor_covariance(cov_l, config.var_floor)
 
-    text = text_mean = text_var = None
+    text = None
     if config.text_model == "vmf":
         text = fit_vmf(embeds, gamma)
     elif config.text_model == "gaussian":
-        text_mean = w @ embeds
-        text_var = np.maximum(w @ (embeds - text_mean) ** 2, config.var_floor)
+        mean = w @ embeds
+        text = GaussianText(mean, np.maximum(w @ (embeds - mean) ** 2, config.var_floor))
 
-    return StateParams(
-        mu_t=mu_t,
-        sigma_t=sigma_t,
-        mu_l=mu_l,
-        cov_l=cov_l,
-        text=text,
-        text_mean=text_mean,
-        text_var=text_var,
-    )
+    return StateParams(mu_t=mu_t, sigma_t=sigma_t, mu_l=mu_l, cov_l=cov_l, text=text)
 
 
 def seed_state(time: float, loc: np.ndarray, embed: np.ndarray,
                config: EmissionConfig) -> StateParams:
     """A state centered on one record, to replace a dead state: its spreads
     are the floors, and its vMF text has concentration RESEED_KAPPA."""
-    text = text_mean = text_var = None
+    text = None
     if config.text_model == "vmf":
         text = VmfParams(mu=embed / np.linalg.norm(embed), kappa=RESEED_KAPPA, p=len(embed))
     elif config.text_model == "gaussian":
-        text_mean = embed.copy()
-        text_var = np.full(len(embed), config.var_floor)
+        text = GaussianText(embed.copy(), np.full(len(embed), config.var_floor))
     return StateParams(mu_t=float(time), sigma_t=config.sigma_t_floor, mu_l=loc.copy(),
-                       cov_l=config.var_floor * np.eye(2), text=text, text_mean=text_mean,
-                       text_var=text_var)
+                       cov_l=config.var_floor * np.eye(2), text=text)
 
 
 def state_to_dict(state: StateParams) -> dict:
-    """JSON-ready document of one state; floats keep full double precision."""
-    text, gaussian = state.text, state.text_mean is not None
+    """JSON-ready document of one state; floats keep full double precision.
+    The keys of the text model the state does not hold are null."""
+    text = state.text
+    vmf, gaussian = isinstance(text, VmfParams), isinstance(text, GaussianText)
     return {
         "mu_t": float(state.mu_t),
         "sigma_t": float(state.sigma_t),
         "mu_l": state.mu_l.tolist(),
         "cov_l": state.cov_l.tolist(),
-        "text": None if text is None else {"mu": text.mu.tolist(), "kappa": float(text.kappa)},
-        "text_mean": state.text_mean.tolist() if gaussian else None,
-        "text_var": state.text_var.tolist() if gaussian else None,
+        "text": {"mu": text.mu.tolist(), "kappa": float(text.kappa)} if vmf else None,
+        "text_mean": text.mean.tolist() if gaussian else None,
+        "text_var": text.var.tolist() if gaussian else None,
     }
 
 
-def state_from_dict(doc: dict, embedding_dim: int) -> StateParams:
-    """The state a `state_to_dict` document describes; a missing key raises KeyError."""
+def state_from_dict(doc: dict, config: EmissionConfig, embedding_dim: int) -> StateParams:
+    """The state a `state_to_dict` document describes, with the text of
+    config.text_model only; a missing key raises KeyError."""
     if not isinstance(doc, dict):
         raise TypeError(f"a state must be a JSON object, got {json.dumps(doc)}")
-    text = None
-    if doc.get("text") is not None:
+    text, mean, var = None, doc.get("text_mean"), doc.get("text_var")
+    if config.text_model == "vmf" and doc.get("text") is not None:
         text = VmfParams(
             mu=np.array(doc["text"]["mu"], dtype=float),
             kappa=float(doc["text"]["kappa"]),
             p=embedding_dim,
         )
-    text_mean = None if doc.get("text_mean") is None else np.array(doc["text_mean"], dtype=float)
-    text_var = None if doc.get("text_var") is None else np.array(doc["text_var"], dtype=float)
+    elif config.text_model == "gaussian" and mean is not None and var is not None:
+        text = GaussianText(np.array(mean, dtype=float), np.array(var, dtype=float))
     return StateParams(mu_t=float(doc["mu_t"]), sigma_t=float(doc["sigma_t"]),
                        mu_l=np.array(doc["mu_l"], dtype=float),
-                       cov_l=np.array(doc["cov_l"], dtype=float),
-                       text=text, text_mean=text_mean, text_var=text_var)
+                       cov_l=np.array(doc["cov_l"], dtype=float), text=text)

@@ -626,7 +626,7 @@ def model_from_dict(doc: dict) -> ShmmModel:
         n_states=int(doc["n_states"]),
         pi=np.array(doc["pi"], dtype=float),
         trans=np.array(doc["trans"], dtype=float),
-        states=[state_from_dict(s, embedding_dim) for s in doc["states"]],
+        states=[state_from_dict(s, config, embedding_dim) for s in doc["states"]],
         config=config,
         embedding_dim=embedding_dim,
     )

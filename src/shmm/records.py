@@ -47,7 +47,7 @@ class SemanticRecord:
             raise ValueError("loc must be a finite 2-vector")
         if self.embedding.ndim != 1:
             raise ValueError(f"embedding must be a vector, got shape {self.embedding.shape}")
-        norm = float(np.linalg.norm(self.embedding))
+        norm = math.hypot(*self.embedding.tolist())  # no overflow or warning at 1e200
         if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"embedding must be unit norm, got ||e|| = {norm!r}")
 

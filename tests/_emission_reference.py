@@ -1,7 +1,8 @@
 """Per-state emission densities, kept as the oracle for the all-states pass.
 
-These are the former per-state helpers of `shmm.emission`, verbatim: one
-state's log-density over N records at a time.  `reference_log_emission_matrix`
+These are the former per-state helpers of `shmm.emission`, verbatim but
+for reading the Gaussian text from `state.text`: one state's log-density
+over N records at a time.  `reference_log_emission_matrix`
 stacks them state by state into the (N, K) matrix that
 `shmm.emission.log_emission_matrix` computes in one vectorized pass.
 
@@ -46,7 +47,7 @@ def _log_text_density(state: StateParams, config: EmissionConfig, embeds: np.nda
         log_c = vmf_log_norm_const(params.p, float(params.kappa))
         return log_c + params.kappa * (embeds @ params.mu)
     # diagonal Gaussians over embedding coordinates
-    mean, var = state.text_mean, state.text_var
+    mean, var = state.text.mean, state.text.var
     z2 = (embeds - mean) ** 2 / var
     return -0.5 * (z2 + np.log(var) + _LOG_2PI).sum(axis=-1)
 
@@ -109,8 +110,8 @@ def vectorized_log_emission_matrix(
     if config.text_model == "vmf":
         out += vectorized_vmf_log_density([s.text for s in states], embeds)
     elif config.text_model == "gaussian":
-        mean = np.array([s.text_mean for s in states])
-        var = np.array([s.text_var for s in states])
+        mean = np.array([s.text.mean for s in states])
+        var = np.array([s.text.var for s in states])
         quad = (
             (embeds * embeds) @ (1.0 / var).T
             - 2.0 * (embeds @ (mean / var).T)

@@ -751,6 +751,7 @@ _BAD_CORPUS = {
     "corpus-embedding-bool": _corpus_field("embedding", [True, False, False, False]),
     "corpus-t_abs-overflow": _corpus_field("t_abs", 10 ** 400),
     "predict-corpus-embedding-overflow": _corpus_field("embedding", [10 ** 400, 0, 0, 0]),
+    "corpus-embedding-overflow": _corpus_field("embedding", [1e200, 0.0, 0.0, 0.0]),
 }
 
 _PREPROCESS = "preprocess --input {raw} --embeddings {vectors}"
@@ -859,6 +860,12 @@ class TestBadInputs:
         pytest.param(_PREDICT, _BAD_CORPUS["predict-corpus-embedding-overflow"],
                      "{corpus}:2: int too large to convert to float",
                      id="predict-corpus-embedding-overflow"),
+        pytest.param(_TRAIN, _BAD_CORPUS["corpus-embedding-overflow"],
+                     "{corpus}:2: embedding must be unit norm, got \\|\\|e\\|\\| = 1e\\+200",
+                     id="corpus-embedding-overflow"),
+        pytest.param(_PREDICT, _BAD_CORPUS["corpus-embedding-overflow"],
+                     "{corpus}:2: embedding must be unit norm, got \\|\\|e\\|\\| = 1e\\+200",
+                     id="predict-corpus-embedding-norm-overflow"),
         pytest.param(_TRAIN, _other_dim_line(4), "{corpus}:4: trace embedding dim 5 != corpus 4",
                      id="corpus-other-embedding-dim"),
         pytest.param(_TRAIN + " --seed -1", None, "--seed must be >= 0, got -1",

@@ -13,6 +13,7 @@ from _emission_reference import (
 from shmm.emission import (
     EmissionConfig,
     EmptyStateError,
+    GaussianText,
     StateParams,
     log_emission,
     log_emission_matrix,
@@ -36,7 +37,12 @@ def make_record(t_day=43200.0, loc=(0.0, 0.0), embedding=None, p=3):
     )
 
 
-def make_state(p=3, kappa=2.0, seed=0):
+def text_for(config, vmf, gaussian):
+    """The one of the two text models that config.text_model names, or None."""
+    return {"vmf": vmf, "gaussian": gaussian}.get(config.text_model)
+
+
+def make_state(p=3, kappa=2.0, seed=0, config=EmissionConfig.shmm()):
     rng = np.random.default_rng(seed)
     mu = unit(rng.standard_normal(p))
     return StateParams(
@@ -44,9 +50,8 @@ def make_state(p=3, kappa=2.0, seed=0):
         sigma_t=3600.0,
         mu_l=np.array([0.5, -0.2]),
         cov_l=np.array([[0.04, 0.01], [0.01, 0.09]]),
-        text=VmfParams(mu=mu, kappa=kappa, p=p),
-        text_mean=mu,
-        text_var=np.full(p, 0.1),
+        text=text_for(config, VmfParams(mu=mu, kappa=kappa, p=p),
+                      GaussianText(mean=mu, var=np.full(p, 0.1))),
     )
 
 
@@ -57,19 +62,25 @@ def weighted_loglik(state, config, times, locs, embeds, gamma):
 PRESETS = ["shmm", "ghmm", "st-hmm", "hmm"]
 
 
-def random_states(k, p, rng):
+def random_states(k, p, rng, config):
+    """k random states with the text config.text_model asks for.  Both text
+    models are drawn whatever the config, so the draws do not depend on it."""
     states = []
     for _ in range(k):
         root = rng.standard_normal((2, 2))
         mu = unit(rng.standard_normal(p))
+        mu_t = float(rng.uniform(0, 86400))
+        sigma_t = float(rng.uniform(60, 7200))
+        mu_l = rng.standard_normal(2)
+        vmf = VmfParams(mu=mu, kappa=float(rng.uniform(0, 200)), p=p)
+        gaussian = GaussianText(mean=rng.standard_normal(p) * 0.3,
+                                var=rng.uniform(0.01, 2.0, size=p))
         states.append(StateParams(
-            mu_t=float(rng.uniform(0, 86400)),
-            sigma_t=float(rng.uniform(60, 7200)),
-            mu_l=rng.standard_normal(2),
+            mu_t=mu_t,
+            sigma_t=sigma_t,
+            mu_l=mu_l,
             cov_l=root @ root.T + 0.01 * np.eye(2),
-            text=VmfParams(mu=mu, kappa=float(rng.uniform(0, 200)), p=p),
-            text_mean=rng.standard_normal(p) * 0.3,
-            text_var=rng.uniform(0.01, 2.0, size=p),
+            text=text_for(config, vmf, gaussian),
         ))
     return states
 
@@ -137,14 +148,13 @@ class TestLogEmission:
         assert full == pytest.approx(t_only + l_only + m_only, abs=1e-12)
 
     def test_gaussian_text_baseline(self):
-        state = make_state(p=3, seed=5)
+        config = EmissionConfig(use_time=False, use_location=False, text_model="gaussian")
+        state = make_state(p=3, seed=5, config=config)
         rec = make_record(p=3)
-        got = log_emission(
-            state, EmissionConfig(use_time=False, use_location=False, text_model="gaussian"), rec
-        )
+        got = log_emission(state, config, rec)
         expected = sum(
             -0.5 * math.log(2.0 * math.pi * v) - (x - m) ** 2 / (2.0 * v)
-            for x, m, v in zip(rec.embedding, state.text_mean, state.text_var)
+            for x, m, v in zip(rec.embedding, state.text.mean, state.text.var)
         )
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -188,21 +198,21 @@ class TestAllStatesMatrix:
     @pytest.mark.parametrize("preset", PRESETS)
     def test_matches_reference(self, preset):
         rng = np.random.default_rng(20)
-        states = random_states(7, 5, rng)
-        assert_matches_reference(states, EmissionConfig.preset(preset), *random_records(60, 5, rng))
+        config = EmissionConfig.preset(preset)
+        states = random_states(7, 5, rng, config)
+        assert_matches_reference(states, config, *random_records(60, 5, rng))
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_single_state_single_record(self, preset):
         rng = np.random.default_rng(21)
-        states = random_states(1, 4, rng)
-        got = assert_matches_reference(
-            states, EmissionConfig.preset(preset), *random_records(1, 4, rng)
-        )
+        config = EmissionConfig.preset(preset)
+        states = random_states(1, 4, rng, config)
+        got = assert_matches_reference(states, config, *random_records(1, 4, rng))
         assert got.shape == (1, 1)
 
     def test_uniform_vmf_state(self):
         rng = np.random.default_rng(22)
-        states = random_states(3, 6, rng)
+        states = random_states(3, 6, rng, EmissionConfig.shmm())
         states[1].text = VmfParams(mu=states[1].text.mu, kappa=0.0, p=6)
         times, locs, embeds = random_records(9, 6, rng)
         got = assert_matches_reference(states, EmissionConfig.shmm(), times, locs, embeds)
@@ -213,9 +223,9 @@ class TestAllStatesMatrix:
 
     def test_vmf_term_is_the_vmf_density(self):
         rng = np.random.default_rng(23)
-        states = random_states(5, 7, rng)
-        times, locs, embeds = random_records(40, 7, rng)
         text_only = EmissionConfig(use_time=False, use_location=False, text_model="vmf")
+        states = random_states(5, 7, rng, text_only)
+        times, locs, embeds = random_records(40, 7, rng)
         params = [s.text for s in states]
         np.testing.assert_array_equal(
             log_emission_matrix(states, text_only, times, locs, embeds),
@@ -227,29 +237,28 @@ class TestAllStatesMatrix:
     @pytest.mark.parametrize("preset", PRESETS)
     def test_far_record_gives_minus_inf_in_the_same_cells(self, preset):
         rng = np.random.default_rng(23)
-        states = random_states(4, 3, rng)
+        config = EmissionConfig.preset(preset)
+        states = random_states(4, 3, rng, config)
         times, locs, embeds = random_records(5, 3, rng)
         locs[2] = (1e200, 0.0)
         with np.errstate(over="ignore"):
-            got = assert_matches_reference(
-                states, EmissionConfig.preset(preset), times, locs, embeds
-            )
+            got = assert_matches_reference(states, config, times, locs, embeds)
         assert np.all(np.isneginf(got[2]))
         assert np.all(np.isfinite(np.delete(got, 2, axis=0)))
 
     def test_gaussian_text_at_the_variance_floor(self):
         rng = np.random.default_rng(24)
-        states = random_states(3, 8, rng)
+        states = random_states(3, 8, rng, EmissionConfig.ghmm())
         times, locs, embeds = random_records(6, 8, rng)
         for state in states:
-            state.text_var = np.full(8, EmissionConfig.ghmm().var_floor)
-        states[0].text_mean = embeds[4].copy()
+            state.text = GaussianText(state.text.mean, np.full(8, EmissionConfig.ghmm().var_floor))
+        states[0].text = GaussianText(embeds[4].copy(), states[0].text.var)
         got = assert_matches_reference(states, EmissionConfig.ghmm(), times, locs, embeds)
         assert got[4, 0] == got[:, 0].max()
 
     def test_non_positive_definite_covariance_names_the_state(self):
         rng = np.random.default_rng(25)
-        states = random_states(4, 3, rng)
+        states = random_states(4, 3, rng, EmissionConfig.shmm())
         states[2].cov_l = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ValueError, match="state 2 is not positive definite"):
             log_emission_matrix(states, EmissionConfig.shmm(), *random_records(3, 3, rng))
@@ -258,7 +267,7 @@ class TestAllStatesMatrix:
 
     def test_nan_time_raises(self):
         rng = np.random.default_rng(26)
-        states = random_states(3, 3, rng)
+        states = random_states(3, 3, rng, EmissionConfig.st_hmm())
         times, locs, embeds = random_records(4, 3, rng)
         times[1] = np.nan
         with pytest.raises(ValueError, match="non-finite emission log-density for record 1"):
@@ -286,7 +295,7 @@ class TestEmissionConfig:
 
 
 class TestTextDirection:
-    """The state carries both text parameterizations; the text model picks one."""
+    """The state's one text model gives its direction, and a kappa for vMF text."""
 
     def test_vmf_gives_mean_direction_and_kappa(self):
         state = make_state(p=4, kappa=7.5)
@@ -295,12 +304,13 @@ class TestTextDirection:
         assert kappa == 7.5 and type(kappa) is float
 
     def test_gaussian_gives_text_mean_and_no_kappa(self):
-        state = make_state(p=4)
-        assert text_direction(state, EmissionConfig.ghmm()) == (state.text_mean, None)
+        state = make_state(p=4, config=EmissionConfig.ghmm())
+        assert text_direction(state, EmissionConfig.ghmm()) == (state.text.mean, None)
 
     @pytest.mark.parametrize("preset", ["st-hmm", "hmm"])
     def test_no_text_gives_nothing(self, preset):
-        assert text_direction(make_state(p=4), EmissionConfig.preset(preset)) == (None, None)
+        config = EmissionConfig.preset(preset)
+        assert text_direction(make_state(p=4, config=config), config) == (None, None)
 
 
 class TestMStep:
@@ -377,8 +387,6 @@ class TestMStep:
                 mu_l=state.mu_l.copy(),
                 cov_l=state.cov_l.copy(),
                 text=state.text,
-                text_mean=None if state.text_mean is None else state.text_mean.copy(),
-                text_var=None if state.text_var is None else state.text_var.copy(),
             )
             fields.update(kw)
             return StateParams(**fields)
@@ -412,11 +420,12 @@ class TestMStep:
                         perturbed(text=VmfParams(mu=mu_new, kappa=state.text.kappa, p=state.text.p))
                     )
         else:
+            mean, var = state.text.mean, state.text.var
             candidates += [
-                perturbed(text_mean=state.text_mean * 1.01),
-                perturbed(text_mean=state.text_mean * 0.99),
-                perturbed(text_var=state.text_var * 1.01),
-                perturbed(text_var=state.text_var * 0.99),
+                perturbed(text=GaussianText(mean * 1.01, var)),
+                perturbed(text=GaussianText(mean * 0.99, var)),
+                perturbed(text=GaussianText(mean, var * 1.01)),
+                perturbed(text=GaussianText(mean, var * 0.99)),
             ]
         for cand in candidates:
             value = weighted_loglik(cand, config, times, locs, embeds, gamma)

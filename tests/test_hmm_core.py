@@ -15,7 +15,13 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
 from _helpers import random_model, random_trace, unit
-from shmm.emission import EmissionConfig, StateParams, log_emission, log_emission_matrix
+from shmm.emission import (
+    EmissionConfig,
+    GaussianText,
+    StateParams,
+    log_emission,
+    log_emission_matrix,
+)
 from shmm.hmm_core import (
     DimensionMismatchError,
     EmptyCorpusError,
@@ -542,6 +548,16 @@ class TestSerialization:
         _, ll_b = forward_backward(loaded, trace)
         assert ll_a == ll_b
 
+    @pytest.mark.parametrize("preset", ["shmm", "ghmm", "st-hmm", "hmm"])
+    def test_saved_model_reloads_to_the_same_bytes(self, tmp_path, preset):
+        corpus = sample_corpus(planted_model(3, 4, seed=2), 12, 6, seed=3)
+        model, _ = baum_welch(corpus, 3, EmissionConfig.preset(preset), init=KMeansInit(seed=1),
+                              stop=StopCriteria(max_iters=3))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_model(model, first)
+        save_model(load_model(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
             model_from_dict({"format": "something-else"})
@@ -552,8 +568,7 @@ class TestSerialization:
             sigma_t=60.0,
             mu_l=np.zeros(2),
             cov_l=np.eye(2),
-            text_mean=np.array([0.1, 0.2, 0.3]),
-            text_var=np.array([0.5, 0.5, 0.5]),
+            text=GaussianText(mean=np.array([0.1, 0.2, 0.3]), var=np.array([0.5, 0.5, 0.5])),
         )
         model = ShmmModel(
             n_states=1,
@@ -565,8 +580,10 @@ class TestSerialization:
         )
         doc = model_to_dict(model)
         loaded = model_from_dict(doc)
-        np.testing.assert_array_equal(loaded.states[0].text_mean, state.text_mean)
-        assert loaded.states[0].text is None
+        text = loaded.states[0].text
+        assert isinstance(text, GaussianText)
+        np.testing.assert_array_equal(text.mean, state.text.mean)
+        np.testing.assert_array_equal(text.var, state.text.var)
 
     @pytest.mark.parametrize("field, value, message", [
         ("mu_t", math.nan, "state 1: mu_t must be finite"),
@@ -584,10 +601,24 @@ class TestSerialization:
 
     def test_non_finite_gaussian_text_mean_is_rejected(self):
         state = StateParams(mu_t=100.0, sigma_t=60.0, mu_l=np.zeros(2), cov_l=np.eye(2),
-                            text_mean=np.array([0.1, math.nan, 0.3]), text_var=np.full(3, 0.5))
+                            text=GaussianText(np.array([0.1, math.nan, 0.3]), np.full(3, 0.5)))
         with pytest.raises(ValueError, match="^state 0: text_mean must be finite$"):
             ShmmModel(n_states=1, pi=np.array([1.0]), trans=np.array([[1.0]]), states=[state],
                       config=EmissionConfig.ghmm(), embedding_dim=3)
+
+    @pytest.mark.parametrize("preset, text, message", [
+        ("shmm", GaussianText(np.full(3, 0.5), np.full(3, 0.5)),
+         "state 0: text_model 'vmf' needs vMF text parameters of dimension 3"),
+        ("ghmm", VmfParams(mu=np.array([0.6, 0.0, 0.8]), kappa=5.0, p=3),
+         "state 0: text_model 'gaussian' needs text_mean and positive finite text_var "
+         "of shape (3,)"),
+    ])
+    def test_state_holding_the_other_text_model_is_rejected(self, preset, text, message):
+        state = StateParams(mu_t=100.0, sigma_t=60.0, mu_l=np.zeros(2), cov_l=np.eye(2),
+                            text=text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ShmmModel(n_states=1, pi=np.array([1.0]), trans=np.array([[1.0]]), states=[state],
+                      config=EmissionConfig.preset(preset), embedding_dim=3)
 
     def test_vmf_state_without_text_is_rejected(self):
         doc = model_to_dict(random_model(3, 5, np.random.default_rng(15)))

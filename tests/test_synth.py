@@ -7,7 +7,7 @@ import pytest
 
 import _synth_reference as reference
 from shmm import synth
-from shmm.emission import EmissionConfig
+from shmm.emission import EmissionConfig, GaussianText
 from shmm.hmm_core import ShmmModel
 from shmm.records import stack_records
 from shmm.synth import (
@@ -76,8 +76,8 @@ def without_vmf_text(model, preset):
     config = EmissionConfig.preset(preset)
     gaussian = config.text_model == "gaussian"
     states = [dataclasses.replace(
-        s, text=None, text_mean=s.text.mu if gaussian else None,
-        text_var=np.full(s.text.p, 0.5) if gaussian else None) for s in model.states]
+        s, text=GaussianText(s.text.mu, np.full(s.text.p, 0.5)) if gaussian else None)
+        for s in model.states]
     return dataclasses.replace(model, states=states, config=config)
 
 
