@@ -367,7 +367,43 @@ def _reseed_state(bundle: _CorpusBundle, log_b_all: np.ndarray,
 
 
 def _kmeans_locations(locs: np.ndarray, k: int, seed: int, n_iter: int) -> np.ndarray:
-    """Deterministic k-means (k-means++ seeding) on record locations."""
+    """Deterministic k-means (k-means++ seeding) on record locations.
+
+    Lloyd's loop with bounds in the style of Hamerly (2010).  Each record
+    keeps `upper`, at least its distance to its own center, and `lower`, at
+    most its distance to every other center.  When the centers move, `upper`
+    grows by its own center's move and `lower` shrinks by the largest move
+    among the other centers, so both stay bounds by the triangle
+    inequality.  A record with `upper < lower - margin` keeps its label
+    with no distance computed.  Otherwise `upper` is first tightened to the
+    distance to its own center, and only a record whose bounds still
+    overlap gets all K squared distances recomputed, by `_sq_dists` and the
+    first-index argmin as in a full (N, K) pass.  The first iteration starts
+    with no bounds, so it recomputes every record.
+
+    The labels are bit for bit those of the full pass: a record is skipped
+    only when its own center's computed squared distance is provably
+    strictly below every other center's.  Let eps be the machine epsilon
+    and S the diagonal of a box holding every record and every center so
+    far, so S bounds every distance and every move.
+    - A computed distance is within 1.5 eps of the true one, relative (each
+      difference and square is correctly rounded, and a sum of two squares
+      cannot cancel; then a square root), so within 1.5 eps*S absolutely.
+      Computed squared distances are therefore strictly ordered whenever
+      the true distances differ by more than 2 eps*S.
+    - Each move adds the error of one computed distance and one rounding
+      of a sum below 2S, so after t moves `upper` is low by at most
+      (1.5 + 2.5 t) eps*S and `lower` high by at most (1.5 + 2 t) eps*S.
+    - A skip is thus safe when margin >= (5 + 4.5 t) eps*S for every
+      t < n_iter; the margin 16 (n_iter + 1) eps*S is over three times
+      that.  It scales with the spread S, not with the coordinates:
+      projected meters near 1e7 with a spread of a meter get a margin
+      below 1e-12 m.  The test is strict, so an exact tie is never
+      skipped, and a NaN bound compares false and is recomputed.
+    An iteration that leaves a cluster empty repairs it from one full
+    (N, K) pass, which gives every record's distance to its own center,
+    and restarts the bounds from that pass.
+    """
     n = locs.shape[0]
     if n < k:
         raise ValueError(f"cannot initialize {k} states from {n} records")
@@ -384,23 +420,31 @@ def _kmeans_locations(locs: np.ndarray, k: int, seed: int, n_iter: int) -> np.nd
             centers[j] = locs[rng.integers(n)]
         d2 = np.minimum(d2, ((locs - centers[j]) ** 2).sum(axis=1))
 
+    loc_x, loc_y = locs[:, 0], locs[:, 1]
+    lo, hi = locs.min(axis=0), locs.max(axis=0)
+    margin_per_spread = 16 * (n_iter + 1) * np.finfo(float).eps
     labels = np.zeros(n, dtype=int)
-    # squared distances as dx*dx + dy*dy over (N, K): the same operations in
-    # the same order as summing the squared (N, K, 2) differences, so ties
-    # break the same way (the expanded |x|^2 - 2x.c + |c|^2 would not).
-    # Squared and summed in place: fresh (N, K) temporaries cost more than
-    # the arithmetic.
-    loc_x, loc_y = locs[:, :1], locs[:, 1:]
-    for _ in range(n_iter):
-        dists = loc_x - centers[:, 0]
-        dy = loc_y - centers[:, 1]
-        dists *= dists
-        dy *= dy
-        dists += dy
-        new_labels = dists.argmin(axis=1)
+    # no bounds yet, so the first iteration recomputes every record
+    upper = np.full(n, np.inf)
+    lower = np.full(n, -np.inf)
+    recomputed = 0
+    for it in range(n_iter):
+        lo, hi = np.minimum(lo, centers.min(axis=0)), np.maximum(hi, centers.max(axis=0))
+        margin = margin_per_spread * math.hypot(*(hi - lo))
+        check = np.flatnonzero(~(upper < lower - margin))
+        mine = centers[labels[check]]
+        upper[check] = np.sqrt(_sq_dists(loc_x[check], loc_y[check], mine[:, 0], mine[:, 1]))
+        rows = check[~(upper[check] < lower[check] - margin)]
+        dists = _sq_dists(loc_x[rows, None], loc_y[rows, None], centers[:, 0], centers[:, 1])
+        new_labels = labels.copy()
+        new_labels[rows] = dists.argmin(axis=1)
+        upper[rows], lower[rows] = _own_and_next(dists, new_labels[rows])
+        recomputed += rows.size
         if np.bincount(new_labels, minlength=k).min() == 0:
             # keep every cluster populated: steal the records the assignment
             # explains worst
+            dists = _sq_dists(loc_x[:, None], loc_y[:, None], centers[:, 0], centers[:, 1])
+            recomputed += n
             own = dists[np.arange(n), new_labels]
             for j in range(k):
                 if not np.any(new_labels == j):
@@ -410,15 +454,49 @@ def _kmeans_locations(locs: np.ndarray, k: int, seed: int, n_iter: int) -> np.nd
                     steal = candidates[np.argmax(own[candidates])]
                     new_labels[steal] = j
                     own[steal] = 0.0
+            upper, lower = _own_and_next(dists, new_labels)
         changed = int(np.count_nonzero(new_labels != labels))
         labels = new_labels
         if changed == 0:
             break
-        centers = _cluster_means(locs, labels, k)
+        moved = _cluster_means(locs, labels, k)
+        step = np.sqrt(_sq_dists(moved[:, 0], moved[:, 1], centers[:, 0], centers[:, 1]))
+        centers = moved
+        far = int(step.argmax())
+        upper += step[labels]
+        lower -= np.where(labels == far, np.delete(step, far).max(initial=0.0), step[far])
     else:
         logger.info("k-means stopped unconverged at its cap of %d iterations; "
                     "%d labels changed in the last one", n_iter, changed)
+    logger.debug("k-means ran %d iterations and recomputed %d of %d distance rows",
+                 it + 1, recomputed, n * (it + 1))
     return labels
+
+
+def _sq_dists(x: np.ndarray, y: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """Squared distances `dx*dx + dy*dy`, broadcast from the coordinates.
+
+    The same operations in the same order as summing squared (N, K, 2)
+    differences, so argmin ties break the same way (the expanded
+    |x|^2 - 2x.c + |c|^2 would not).  Squared and summed in place: fresh
+    temporaries cost more than the arithmetic.
+    """
+    dists = x - cx
+    dy = y - cy
+    dists *= dists
+    dy *= dy
+    dists += dy
+    return dists
+
+
+def _own_and_next(dists: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's distance to its labelled center and to the nearest other
+    one (inf when K = 1), from squared distances; overwrites the labelled
+    entries of dists."""
+    rows = np.arange(labels.size)
+    own = np.sqrt(dists[rows, labels])
+    dists[rows, labels] = np.inf
+    return own, np.sqrt(dists.min(axis=1))
 
 
 def _cluster_means(locs: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:

@@ -43,7 +43,7 @@ class SemanticRecord:
             raise ValueError(f"t_abs must be finite, got {self.t_abs!r}")
         if not 0.0 <= self.t_day < SECONDS_PER_DAY:
             raise ValueError(f"t_day must lie in [0, 86400), got {self.t_day!r}")
-        if self.loc.shape != (2,) or not np.all(np.isfinite(self.loc)):
+        if self.loc.shape != (2,) or not all(map(math.isfinite, self.loc.tolist())):
             raise ValueError("loc must be a finite 2-vector")
         if self.embedding.ndim != 1:
             raise ValueError(f"embedding must be a vector, got shape {self.embedding.shape}")
