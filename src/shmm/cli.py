@@ -33,6 +33,7 @@ import numpy as np
 from . import data_io, synth, text_embed
 from .emission import SIGMA_T_FLOOR, VAR_FLOOR, EmissionConfig, text_direction
 from .hmm_core import (
+    EmptyCorpusError,
     KMeansInit,
     NonFiniteLikelihoodError,
     StopCriteria,
@@ -229,7 +230,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = EmissionConfig.preset(args.preset, sigma_t_floor=args.sigma_t_floor,
                                    var_floor=args.var_floor)
     stop = StopCriteria(rel_tol=args.rel_tol, max_iters=args.max_iters)
-    model, history = baum_welch(corpus, args.k, config, init=KMeansInit(seed=args.seed), stop=stop)
+    try:
+        model, history = baum_welch(corpus, args.k, config, init=KMeansInit(seed=args.seed),
+                                    stop=stop)
+    except EmptyCorpusError as exc:
+        raise ValueError(f"{args.corpus}: {exc}") from None
 
     out = _out_dir(args)
     model_path = out / "model.json"
@@ -290,7 +295,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     check_embedding_dims(test, model.embedding_dim)
     usable = [t for t in test if len(t) >= 2]
     if not usable:
-        raise ValueError("test corpus has no traces of length >= 2")
+        raise ValueError(f"{args.corpus}: test corpus has no traces of length >= 2")
     dataset = args.corpus.stem if args.dataset is None else args.dataset
     index = data_io.RecordIndex.from_traces(usable)
     pools = data_io.build_pools(usable, index, args.dist_thresh, args.time_thresh,

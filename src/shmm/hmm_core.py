@@ -5,7 +5,12 @@ probabilities: emission log-densities here can span hundreds of nats),
 Baum-Welch EM over multi-sequence corpora, Viterbi decoding, and
 one-step-ahead scoring of candidate next records.
 
-There is one forward recursion, run over a packed corpus.  Traces are
+A fit reads the columns of one `records.Corpus` in place: k-means init,
+every E-step and M-step, and the re-seeding of dead states.  A list of
+`Trace`s is stacked into a `Corpus` once, at the start of `baum_welch`.
+
+There is one forward recursion, run over a packed corpus, and the E-step
+packs the corpus's trace lengths itself on every call.  Traces are
 sorted by length, longest first (ties keep corpus order), and laid out
 time-major: step t holds the t-th record of every trace still running,
 and those are always the first few traces of the sorted order.  So the
@@ -157,7 +162,7 @@ class EMIteration:
 
 
 # ---------------------------------------------------------------------------
-# corpus bundling and the packed forward-backward core
+# the packed forward-backward core
 
 
 def _logsumexp(a: np.ndarray, axis: int, overwrite_a: bool = False) -> np.ndarray:
@@ -292,31 +297,6 @@ def _to_gamma(alpha: np.ndarray, beta: np.ndarray, loglik: np.ndarray) -> None:
     np.exp(alpha, out=alpha)
 
 
-@dataclass
-class _CorpusBundle:
-    """A corpus as flat (N, ...) record arrays in corpus order, plus the
-    time-major packing the forward-backward pass walks."""
-
-    times: np.ndarray
-    locs: np.ndarray
-    embeds: np.ndarray
-    packing: _Packing
-
-
-def _bundle_corpus(corpus: Corpus | Sequence[Trace]) -> _CorpusBundle:
-    """A corpus's flat record arrays: the one place a fit reads traces.
-
-    A `Corpus` gives its columns without copying; any other sequence of
-    traces is stacked into one, so its first record sets the embedding
-    dimension and a trace of another raises, named by its position.
-    """
-    if len(corpus) == 0:
-        raise EmptyCorpusError("corpus contains no traces")
-    if not isinstance(corpus, Corpus):
-        corpus = Corpus(corpus)
-    return _CorpusBundle(corpus.t_day, corpus.locs, corpus.embeds, _pack(corpus.lengths))
-
-
 def _log_probs(model: ShmmModel):
     with np.errstate(divide="ignore"):
         return np.log(model.pi), np.log(model.trans)
@@ -328,17 +308,18 @@ def forward_backward(model: ShmmModel, trace: Trace):
     Returns (SufficientStats, loglik) with loglik = log p(trace | model).
     """
     check_embedding_dims([trace], model.embedding_dim)
-    gamma, xi_sum, _, loglik, _ = _e_step(model, _bundle_corpus([trace]))
+    gamma, xi_sum, _, loglik, _ = _e_step(model, Corpus([trace]))
     return SufficientStats(gamma=gamma, xi_sum=xi_sum), loglik
 
 
-def _e_step(model: ShmmModel, bundle: _CorpusBundle):
+def _e_step(model: ShmmModel, corpus: Corpus):
     log_pi, log_a = _log_probs(model)
     log_b_all = log_emission_matrix(
-        model.states, model.config, bundle.times, bundle.locs, bundle.embeds
+        model.states, model.config, corpus.t_day, corpus.locs, corpus.embeds
     )
-    gamma_all, xi_sum, loglik = _forward_backward(log_pi, log_a, log_b_all, bundle.packing)
-    first_rows = bundle.packing.rows[: bundle.packing.sizes[0]]
+    packing = _pack(corpus.lengths)
+    gamma_all, xi_sum, loglik = _forward_backward(log_pi, log_a, log_b_all, packing)
+    first_rows = packing.rows[: packing.sizes[0]]
     gamma0 = gamma_all[first_rows].sum(axis=0)
     return gamma_all, xi_sum, gamma0, float(loglik.sum()), log_b_all
 
@@ -350,7 +331,7 @@ def _smooth(raw: np.ndarray) -> np.ndarray:
     return probs / probs.sum()
 
 
-def _reseed_state(bundle: _CorpusBundle, log_b_all: np.ndarray,
+def _reseed_state(corpus: Corpus, log_b_all: np.ndarray,
                   config: EmissionConfig, rank: int) -> StateParams:
     """Replacement parameters for an iteration's rank-th dead state (from 0),
     centered on the record the current model explains rank-th worst (ties
@@ -359,7 +340,7 @@ def _reseed_state(bundle: _CorpusBundle, log_b_all: np.ndarray,
     k = log_b_all.shape[1]
     score = _logsumexp(log_b_all, axis=1) - math.log(k)
     worst = int(np.argsort(score, kind="stable")[rank % score.size])
-    return seed_state(bundle.times[worst], bundle.locs[worst], bundle.embeds[worst], config)
+    return seed_state(corpus.t_day[worst], corpus.locs[worst], corpus.embeds[worst], config)
 
 
 # ---------------------------------------------------------------------------
@@ -511,18 +492,18 @@ def _cluster_means(locs: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return sums / np.bincount(labels, minlength=k)[:, None]
 
 
-def _init_from_kmeans(bundle: _CorpusBundle, k: int, config: EmissionConfig,
+def _init_from_kmeans(corpus: Corpus, k: int, config: EmissionConfig,
                       init: KMeansInit) -> ShmmModel:
-    labels = _kmeans_locations(bundle.locs, k, init.seed, init.n_iter)
+    labels = _kmeans_locations(corpus.locs, k, init.seed, init.n_iter)
     states = []
     for j in range(k):
         gamma = (labels == j).astype(float)
-        states.append(m_step_state(bundle.times, bundle.locs, bundle.embeds, gamma, config))
+        states.append(m_step_state(corpus.t_day, corpus.locs, corpus.embeds, gamma, config))
 
     # smoothed empirical counts of cluster labels along traces, added in
     # record order: every row but a trace's first steps on from the row before
     is_first = np.zeros(labels.size, dtype=bool)
-    is_first[bundle.packing.rows[: bundle.packing.sizes[0]]] = True
+    is_first[np.cumsum(corpus.lengths) - corpus.lengths] = True
     steps = np.flatnonzero(~is_first)
     pi_counts = np.full(k, 0.1)
     trans_counts = np.full((k, k), 0.1)
@@ -536,7 +517,7 @@ def _init_from_kmeans(bundle: _CorpusBundle, k: int, config: EmissionConfig,
         trans=trans,
         states=states,
         config=config,
-        embedding_dim=bundle.embeds.shape[1],
+        embedding_dim=corpus.embeds.shape[1],
     )
 
 
@@ -563,8 +544,11 @@ def baum_welch(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    bundle = _bundle_corpus(corpus)
-    embedding_dim = bundle.embeds.shape[1]
+    if len(corpus) == 0:
+        raise EmptyCorpusError("corpus contains no traces")
+    if not isinstance(corpus, Corpus):
+        corpus = Corpus(corpus)
+    embedding_dim = corpus.embeds.shape[1]
 
     if isinstance(init, ShmmModel):
         if init.n_states != k:
@@ -575,22 +559,22 @@ def baum_welch(
             )
         model = init
     else:
-        model = _init_from_kmeans(bundle, k, config, init)
+        model = _init_from_kmeans(corpus, k, config, init)
 
     history: list[EMIteration] = []
     prev_loglik = None
     for _ in range(stop.max_iters):
         started = time.perf_counter()
-        gamma_all, xi_sum, gamma0, loglik, log_b_all = _e_step(model, bundle)
+        gamma_all, xi_sum, gamma0, loglik, log_b_all = _e_step(model, corpus)
 
         states, n_dead = [], 0
         for j in range(k):
             try:
                 states.append(
-                    m_step_state(bundle.times, bundle.locs, bundle.embeds, gamma_all[:, j], config)
+                    m_step_state(corpus.t_day, corpus.locs, corpus.embeds, gamma_all[:, j], config)
                 )
             except EmptyStateError:
-                states.append(_reseed_state(bundle, log_b_all, config, n_dead))
+                states.append(_reseed_state(corpus, log_b_all, config, n_dead))
                 n_dead += 1
         del gamma_all, log_b_all  # not held into the next E-step
         pi = _smooth(gamma0)
@@ -693,21 +677,32 @@ def model_from_dict(doc: dict) -> ShmmModel:
 
     A missing key raises KeyError; a value of the wrong type or shape, or
     parts that do not fit together, raise TypeError or ValueError.
+    format_version, n_states and embedding_dim must be JSON integers: a
+    float, string or boolean is refused, not truncated.
     """
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError("not a model document")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format version {version!r}")
     config = EmissionConfig(**doc["config"])
-    embedding_dim = int(doc["embedding_dim"])
+    embedding_dim = _json_int(doc, "embedding_dim")
     return ShmmModel(
-        n_states=int(doc["n_states"]),
+        n_states=_json_int(doc, "n_states"),
         pi=np.array(doc["pi"], dtype=float),
         trans=np.array(doc["trans"], dtype=float),
         states=[state_from_dict(s, config, embedding_dim) for s in doc["states"]],
         config=config,
         embedding_dim=embedding_dim,
     )
+
+
+def _json_int(doc: dict, key: str) -> int:
+    """doc[key], which must be a JSON integer (`true` is not one)."""
+    value = doc[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def save_model(model: ShmmModel, path) -> None:

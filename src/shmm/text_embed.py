@@ -82,12 +82,12 @@ def load_keyword_vectors(path) -> KeywordTable:
     Format: UTF-8 text, one "token x1 ... xp" record per line; an optional
     first line holding exactly two integers is treated as a
     "<vocab_size> <dim>" header and skipped.  Every vector has the first
-    vector's p >= 1 finite coordinates; a line that does not raises
-    ValueError as `path:line: reason`.
+    vector's p >= 1 finite coordinates, and every token is new; a line
+    that breaks either rule raises ValueError as `path:line: reason`.
     """
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
-    tokens: list[str] = []
+    first_line: dict[str, int] = {}  # token -> its line, in file order
     rows: list[np.ndarray] = []
     with opener(path, "rt", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -111,11 +111,15 @@ def load_keyword_vectors(path) -> KeywordTable:
                                  f"the first vector {rows[0].size}")
             if not np.all(np.isfinite(row)):
                 raise ValueError(f"{path}:{lineno}: {parts[0]!r} has a non-finite coordinate")
+            if parts[0] in first_line:
+                raise ValueError(f"{path}:{lineno}: duplicate token {parts[0]!r} "
+                                 f"(first on line {first_line[parts[0]]})")
             rows.append(row)
-            tokens.append(parts[0])
-    if not tokens:
+            first_line[parts[0]] = lineno
+    if not first_line:
         raise ValueError(f"{path}: no keyword vectors found")
-    return KeywordTable(vocabulary=tokens, vectors=np.vstack(rows), idf=np.ones(len(tokens)))
+    return KeywordTable(vocabulary=list(first_line), vectors=np.vstack(rows),
+                        idf=np.ones(len(rows)))
 
 
 def compute_idf(corpus: Sequence[Sequence[str]], vocabulary: Sequence[str]) -> np.ndarray:

@@ -790,6 +790,18 @@ class TestBadInputs:
                      "{model}: missing key 'states'", id="model-missing-key"),
         pytest.param(_SUMMARIZE, _edit_model(lambda d: d.update(n_states="two")),
                      "{model}: .+'two'", id="model-wrong-type"),
+        pytest.param(_PREDICT, _edit_model(lambda d: d.update(n_states=1.9)),
+                     "{model}: n_states must be an integer, got 1.9", id="model-n_states-float"),
+        pytest.param(_SUMMARIZE, _edit_model(lambda d: d.update(n_states=True)),
+                     "{model}: n_states must be an integer, got True", id="model-n_states-bool"),
+        pytest.param(_PREDICT, _edit_model(lambda d: d.update(n_states="2")),
+                     "{model}: n_states must be an integer, got '2'", id="model-n_states-string"),
+        pytest.param(_SUMMARIZE, _edit_model(lambda d: d.update(embedding_dim=4.5)),
+                     "{model}: embedding_dim must be an integer, got 4.5",
+                     id="model-embedding_dim-float"),
+        pytest.param(_PREDICT, _edit_model(lambda d: d.update(format_version=True)),
+                     "{model}: unsupported model format version True",
+                     id="model-format_version-bool"),
         pytest.param(_SUMMARIZE, _edit_model(lambda d: d["states"].__setitem__(0, [1, 2])),
                      "{model}: a state must be a JSON object, got \\[1, 2\\]",
                      id="model-state-not-object"),
@@ -880,6 +892,14 @@ class TestBadInputs:
         pytest.param(_SUMMARIZE, _replace_line("vectors", 3, "beach -0.1 1.0 0.1"),
                      "{vectors}:3: 'beach' has 3 coordinates, the first vector 4",
                      id="vectors-short-line"),
+        pytest.param(_PREPROCESS, _replace_line("vectors", 3, "coffee -0.1 1.0 0.1 0.0"),
+                     "{vectors}:3: duplicate token 'coffee' \\(first on line 1\\)",
+                     id="vectors-duplicate-token"),
+        pytest.param(_TRAIN, _write("corpus", ""), "{corpus}: corpus contains no traces",
+                     id="train-empty-corpus"),
+        pytest.param(_PREDICT, _write("corpus", "\n  \n"),
+                     "{corpus}: test corpus has no traces of length >= 2",
+                     id="predict-blank-corpus"),
         pytest.param(_SUMMARIZE + " --k-keywords -1", None,
                      "keyword count k must be >= 0, got -1", id="k-keywords-negative"),
         pytest.param("synth newton_convergence --p 0", None, "dimension p must be >= 2, got 0",

@@ -41,7 +41,7 @@ from shmm.hmm_core import (
     score_next,
     viterbi,
 )
-from shmm.records import SemanticRecord, Trace, stack_records
+from shmm.records import Corpus, SemanticRecord, Trace, stack_records
 from shmm.synth import planted_model, sample_corpus
 from shmm.vmf import VmfParams
 
@@ -429,7 +429,7 @@ class TestBaumWelch:
             baum_welch(corpus, 2, EmissionConfig.shmm(), init=random_model(2, 5, rng))
 
 
-#: Trace lengths of the corpora the bundle and the k-means counts are checked on.
+#: Trace lengths of the corpora the fit's columns and the k-means counts are checked on.
 BUNDLE_CASES = {
     "mixed-lengths": [5, 1, 3, 3, 7, 2],
     "one-trace": [6],
@@ -444,41 +444,56 @@ def _bundle_case(name):
 
 
 class TestCorpusBundle:
-    @pytest.mark.parametrize("name", sorted(BUNDLE_CASES))
-    def test_arrays_equal_the_per_trace_concatenation(self, name):
-        from shmm.hmm_core import _bundle_corpus
-        from shmm.records import stack_records
+    """The `Corpus` a fit reads: its columns, and the counts k-means init takes from it."""
 
+    @pytest.mark.parametrize("name", sorted(BUNDLE_CASES))
+    def test_arrays_equal_the_per_trace_concatenation(self, name, monkeypatch):
+        from shmm import hmm_core
+
+        class Built(Exception):
+            pass
+
+        fitted = []
+
+        def recording_init(corpus, *args):
+            fitted.append(corpus)
+            raise Built  # the columns are all this test reads
+
+        monkeypatch.setattr(hmm_core, "_init_from_kmeans", recording_init)
         corpus = _bundle_case(name)
-        bundle = _bundle_corpus(corpus)
-        columns = [stack_records(t) for t in corpus]
-        for i, got in enumerate((bundle.times, bundle.locs, bundle.embeds)):
-            expected = np.concatenate([c[i] for c in columns])
+        with pytest.raises(Built):
+            baum_welch(corpus, 3, EmissionConfig.shmm())
+        [columns] = fitted
+        assert isinstance(columns, Corpus)
+        assert columns.lengths.tolist() == BUNDLE_CASES[name]
+        stacked = [stack_records(t) for t in corpus]
+        for i, got in enumerate((columns.t_day, columns.locs, columns.embeds)):
+            expected = np.concatenate([c[i] for c in stacked])
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
 
     def test_forward_backward_reads_records_changed_after_construction(self):
-        from shmm.hmm_core import _bundle_corpus, _e_step
+        from shmm.hmm_core import _e_step
 
         rng = np.random.default_rng(21)
         model, trace = random_model(3, 4, rng), random_trace(5, 4, rng)
         forward_backward(model, trace)  # scored once before the change
         trace[2].t_day = (trace[2].t_day + 43_200.0) % 86_400.0
         stats, loglik = forward_backward(model, trace)
-        gamma, _, _, corpus_loglik, _ = _e_step(model, _bundle_corpus([trace]))
+        gamma, _, _, corpus_loglik, _ = _e_step(model, Corpus([trace]))
         assert loglik == corpus_loglik
         assert np.array_equal(stats.gamma, gamma)
 
     @pytest.mark.parametrize("name", sorted(BUNDLE_CASES))
     def test_kmeans_counts_equal_the_per_trace_loop(self, name):
-        from shmm.hmm_core import _bundle_corpus, _init_from_kmeans, _kmeans_locations
+        from shmm.hmm_core import _init_from_kmeans, _kmeans_locations
 
         corpus, k, init = _bundle_case(name), 3, KMeansInit(seed=4)
-        bundle = _bundle_corpus(corpus)
-        model = _init_from_kmeans(bundle, k, EmissionConfig.shmm(), init)
+        columns = Corpus(corpus)
+        model = _init_from_kmeans(columns, k, EmissionConfig.shmm(), init)
 
-        # the per-trace counting loop that the packed counts replaced
-        labels = _kmeans_locations(bundle.locs, k, init.seed, init.n_iter)
+        # the per-trace counting loop that the column counts replaced
+        labels = _kmeans_locations(columns.locs, k, init.seed, init.n_iter)
         pi_counts = np.full(k, 0.1)
         trans_counts = np.full((k, k), 0.1)
         pos = 0
@@ -491,6 +506,19 @@ class TestCorpusBundle:
         trans = trans_counts / trans_counts.sum(axis=1, keepdims=True)
         assert model.pi.tobytes() == pi.tobytes()
         assert model.trans.tobytes() == trans.tobytes()
+
+    @pytest.mark.parametrize("preset", ["shmm", "ghmm"])
+    def test_a_trace_list_fits_as_its_corpus(self, preset):
+        corpus = _bundle_case("mixed-lengths")
+        fits = [
+            baum_welch(traces, 3, EmissionConfig.preset(preset), init=KMeansInit(seed=4),
+                       stop=StopCriteria(rel_tol=0.0, max_iters=5))
+            for traces in (corpus, Corpus(corpus))
+        ]
+        (model, history), (corpus_model, corpus_history) = fits
+        assert json.dumps(model_to_dict(model)) == json.dumps(model_to_dict(corpus_model))
+        assert [h.loglik for h in history] == [h.loglik for h in corpus_history]
+        assert len(history) == 5
 
     def test_trace_records_cannot_grow(self):
         trace = random_trace(3, 4, np.random.default_rng(34))
@@ -557,6 +585,23 @@ class TestSerialization:
         save_model(model, first)
         save_model(load_model(first), second)
         assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("n_states", True, "n_states must be an integer, got True"),
+        ("n_states", 1.9, "n_states must be an integer, got 1.9"),
+        ("n_states", "1", "n_states must be an integer, got '1'"),
+        ("embedding_dim", 4.5, "embedding_dim must be an integer, got 4.5"),
+        ("format_version", True, "unsupported model format version True"),
+    ])
+    def test_counts_must_be_json_integers(self, tmp_path, key, value, reason):
+        # a one-state, 4-dimensional model, so each value once truncated to a count that fit
+        path = tmp_path / "model.json"
+        save_model(random_model(1, 4, np.random.default_rng(16)), path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {reason}')}$"):
+            load_model(path)
 
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValueError):

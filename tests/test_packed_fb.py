@@ -28,7 +28,7 @@ from shmm.hmm_core import (
     score_next,
     viterbi,
 )
-from shmm.records import Trace, stack_records
+from shmm.records import Corpus, Trace, stack_records
 
 P = 4
 TOL = 1e-12
@@ -72,8 +72,8 @@ def _log_probs(model):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_packed_e_step_matches_reference(name):
     model, corpus = _case(name)
-    bundle = hmm_core._bundle_corpus(corpus)
-    gamma, xi_sum, gamma0, total, log_b = hmm_core._e_step(model, bundle)
+    columns = Corpus(corpus)
+    gamma, xi_sum, gamma0, total, log_b = hmm_core._e_step(model, columns)
     ref_gamma, ref_xi, ref_gamma0, ref_loglik = e_step_by_length(model, corpus)
 
     np.testing.assert_allclose(gamma, ref_gamma, rtol=0.0, atol=TOL)
@@ -82,7 +82,8 @@ def test_packed_e_step_matches_reference(name):
     assert total == pytest.approx(ref_loglik.sum(), rel=TOL, abs=0.0)
 
     log_pi, log_a = _log_probs(model)
-    _, _, loglik = hmm_core._forward_backward(log_pi, log_a, log_b, bundle.packing)
+    packing = hmm_core._pack(columns.lengths)
+    _, _, loglik = hmm_core._forward_backward(log_pi, log_a, log_b, packing)
     np.testing.assert_allclose(loglik, ref_loglik, rtol=0.0, atol=TOL)
 
 
@@ -104,12 +105,12 @@ def _benchmark_shaped_case():
     20 records, from the k-means initial model."""
     planted = synth.planted_model(30, 30, seed=3)
     corpus = synth.sample_corpus(planted, 400, 20, seed=4)
-    bundle = hmm_core._bundle_corpus(corpus)
-    model = hmm_core._init_from_kmeans(bundle, 30, EmissionConfig.shmm(), KMeansInit(seed=0))
+    columns = Corpus(corpus)
+    model = hmm_core._init_from_kmeans(columns, 30, EmissionConfig.shmm(), KMeansInit(seed=0))
     log_b = hmm_core.log_emission_matrix(
-        model.states, model.config, bundle.times, bundle.locs, bundle.embeds
+        model.states, model.config, columns.t_day, columns.locs, columns.embeds
     )
-    return model, log_b, bundle.packing
+    return model, log_b, hmm_core._pack(columns.lengths)
 
 
 def _scratch_pass_inputs(name):
@@ -117,11 +118,11 @@ def _scratch_pass_inputs(name):
         model, log_b, packing = _benchmark_shaped_case()
     else:
         model, corpus = _case(name)
-        bundle = hmm_core._bundle_corpus(corpus)
+        columns = Corpus(corpus)
         log_b = hmm_core.log_emission_matrix(
-            model.states, model.config, bundle.times, bundle.locs, bundle.embeds
+            model.states, model.config, columns.t_day, columns.locs, columns.embeds
         )
-        packing = bundle.packing
+        packing = hmm_core._pack(columns.lengths)
     log_pi, log_a = _log_probs(model)
     return log_pi, log_a, log_b, packing
 
@@ -281,8 +282,8 @@ class TestDecreaseWarning:
         real_e_step = hmm_core._e_step
         calls = []
 
-        def falling_e_step(model, bundle):
-            gamma, xi_sum, gamma0, _, log_b = real_e_step(model, bundle)
+        def falling_e_step(model, corpus):
+            gamma, xi_sum, gamma0, _, log_b = real_e_step(model, corpus)
             calls.append(None)
             return gamma, xi_sum, gamma0, -1000.0 - 10.0 * len(calls), log_b
 

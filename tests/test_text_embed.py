@@ -1,5 +1,7 @@
 """Tests for tokenization, TF-IDF, message embedding and keyword lookup."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,15 @@ class TestLoader:
         path.write_text("alpha 1 2\nalpha 3 4\n")
         with pytest.raises(ValueError):
             load_keyword_vectors(path)
+
+    def test_duplicate_token_names_both_lines(self, tmp_path):
+        # counted from the header, and across a blank line
+        path = tmp_path / "vectors.txt"
+        path.write_text("3 2\ncoffee 1 2\nbeach 3 4\n\ncoffee 5 6\n")
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(path))}:5: duplicate token 'coffee' \\(first on line 2\\)$")):
+            load_keyword_vectors(path)
+
+    def test_table_still_refuses_duplicate_tokens(self):
+        with pytest.raises(ValueError, match="^vocabulary tokens must be unique$"):
+            KeywordTable(vocabulary=["a", "a"], vectors=np.eye(2), idf=np.ones(2))

@@ -30,9 +30,9 @@ SCRATCH = N_TRACES * K * K * 8
 def fit_inputs():
     planted = synth.planted_model(K, 30, seed=3)
     corpus = synth.sample_corpus(planted, N_TRACES, LENGTH, seed=4)
-    bundle = hmm_core._bundle_corpus(corpus)
-    model = hmm_core._init_from_kmeans(bundle, K, EmissionConfig.shmm(), KMeansInit(seed=0))
-    return corpus, bundle, model
+    columns = Corpus(corpus)
+    model = hmm_core._init_from_kmeans(columns, K, EmissionConfig.shmm(), KMeansInit(seed=0))
+    return corpus, columns, model
 
 
 def _peak_units(fn, *args, **kwargs) -> float:
@@ -48,23 +48,24 @@ def _peak_units(fn, *args, **kwargs) -> float:
 @pytest.mark.parametrize("preset", ["shmm", "ghmm", "st-hmm", "hmm"])
 def test_emission_matrix_holds_its_output_and_three_temporaries(fit_inputs, preset):
     # the one-expression form peaked at 6.1 to 7.5 units here
-    _, bundle, model = fit_inputs
+    _, columns, model = fit_inputs
     config = EmissionConfig.preset(preset)
-    states = hmm_core._init_from_kmeans(bundle, K, config, KMeansInit(seed=0)).states
-    peak = _peak_units(log_emission_matrix, states, config, bundle.times, bundle.locs,
-                       bundle.embeds)
+    states = hmm_core._init_from_kmeans(columns, K, config, KMeansInit(seed=0)).states
+    peak = _peak_units(log_emission_matrix, states, config, columns.t_day, columns.locs,
+                       columns.embeds)
     assert peak <= 4.5
 
 
 def test_forward_backward_holds_three_arrays_and_the_scratch_block(fit_inputs):
     # the packed emission copy, alpha turned into gamma, and gamma in corpus
     # order; the full-beta pass peaked at 6.4 units plus the scratch block
-    _, bundle, model = fit_inputs
-    log_b = log_emission_matrix(model.states, model.config, bundle.times, bundle.locs,
-                                bundle.embeds)
+    _, columns, model = fit_inputs
+    log_b = log_emission_matrix(model.states, model.config, columns.t_day, columns.locs,
+                                columns.embeds)
     with np.errstate(divide="ignore"):
         log_pi, log_a = np.log(model.pi), np.log(model.trans)
-    peak = _peak_units(hmm_core._forward_backward, log_pi, log_a, log_b, bundle.packing)
+    packing = hmm_core._pack(columns.lengths)
+    peak = _peak_units(hmm_core._forward_backward, log_pi, log_a, log_b, packing)
     assert peak <= 3.0 + SCRATCH / UNIT
 
 
@@ -130,21 +131,26 @@ def test_no_record_outlives_its_line(corpus_file, tmp_path, monkeypatch):
 
 
 def test_fit_reads_the_corpus_columns_in_place(corpus_file, tmp_path, monkeypatch):
-    bundled = []
-    bundle_corpus = hmm_core._bundle_corpus
+    read, emitted = [], []
+    read_columns, emission_matrix = data_io.read_columns, hmm_core.log_emission_matrix
 
-    def recording_bundle_corpus(corpus):
-        bundle = bundle_corpus(corpus)
-        bundled.append((corpus, bundle))
-        return bundle
+    def recording_read_columns(path):
+        read.append(read_columns(path))
+        return read[-1]
 
-    monkeypatch.setattr(hmm_core, "_bundle_corpus", recording_bundle_corpus)
+    def recording_emission_matrix(states, config, times, locs, embeds):
+        emitted.append((times, locs, embeds))
+        return emission_matrix(states, config, times, locs, embeds)
+
+    monkeypatch.setattr(data_io, "read_columns", recording_read_columns)
+    monkeypatch.setattr(hmm_core, "log_emission_matrix", recording_emission_matrix)
     assert _train(corpus_file, tmp_path / "out") == 0
-    [(corpus, bundle)] = bundled
+    [corpus] = read
     assert isinstance(corpus, Corpus)
-    for got, column in ((bundle.times, corpus.t_day), (bundle.locs, corpus.locs),
-                        (bundle.embeds, corpus.embeds)):
-        assert np.shares_memory(got, column)
+    assert len(emitted) == 2  # one E-step per EM iteration
+    for columns in emitted:
+        for got, column in zip(columns, (corpus.t_day, corpus.locs, corpus.embeds)):
+            assert np.shares_memory(got, column)
 
 
 @pytest.mark.parametrize("name", ["t_abs", "t_day", "locs", "embeds", "lengths"])
