@@ -25,6 +25,11 @@ temporaries, built in place with the association of the one-expression
 form, so every cell has the bits that form gives.  `log_emission` is the
 1 x 1 case of the same matrix.
 
+The M-step, `m_step_state`, also fits every state at once: it reads the
+(N, K) responsibilities in one pass, with the means as (K, N) products,
+the second moments centered on each state's means a block of records at
+a time, and every state's vMF text from one `vmf.fit_vmf` call.
+
 A state holds the one text model its config names, or none.  This is the
 one module that reads it: it also checks, re-seeds and serializes states,
 draws records from them (`sample_emissions`) and names each state's text
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,9 +55,13 @@ SIGMA_T_FLOOR = 60.0
 #: Lower bound on location / text-Gaussian variances (squared coordinate units).
 VAR_FLOOR = 1e-6
 
-#: Total responsibility below which a state counts as dead; `m_step_state`
-#: raises EmptyStateError for it and the EM loop re-seeds the state.
+#: Total responsibility below which a state counts as dead: `m_step_state`
+#: gives None in its slot (EmptyStateError for a single state) and the EM
+#: loop re-seeds the state.
 DEAD_STATE_WEIGHT = 1e-8
+
+#: Records per block of the M-step's centered second moments.
+MOMENT_ROWS = 2048
 
 #: Concentration assigned to a re-seeded state's text component.
 RESEED_KAPPA = 1.0
@@ -71,8 +81,10 @@ class EmissionConfig:
 
     At least one modality must be enabled.  text_model is one of "vmf",
     "gaussian" (independent per-coordinate Gaussians over the embedding)
-    or "none".  Both floors must be finite and > 0: a NaN, zero or
-    negative floor would switch the floor off.
+    or "none".  The two switches must be booleans: a model file's "no" or
+    0 is refused, not read as true or false.  Both floors must be real
+    numbers, not booleans, finite and > 0: a NaN, zero or negative floor
+    would switch the floor off.
     """
 
     use_time: bool = True
@@ -82,12 +94,18 @@ class EmissionConfig:
     var_floor: float = VAR_FLOOR
 
     def __post_init__(self):
+        for name in ("use_time", "use_location"):
+            value = getattr(self, name)
+            if type(value) is not bool:
+                raise ValueError(f"{name} must be true or false, got {value!r}")
         if self.text_model not in TEXT_MODELS:
             raise ValueError(f"text_model must be one of {TEXT_MODELS}, got {self.text_model!r}")
         if not (self.use_time or self.use_location or self.text_model != "none"):
             raise ValueError("at least one modality must be enabled")
         for name in ("sigma_t_floor", "var_floor"):
             value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
@@ -320,14 +338,41 @@ def text_direction(state: StateParams, config: EmissionConfig):
     return None, None
 
 
-def _floor_covariance(cov: np.ndarray, floor: float) -> np.ndarray:
-    """Clip the eigenvalues of a symmetric 2x2 matrix at the variance floor."""
-    cov = 0.5 * (cov + cov.T)
+def _floor_covariances(cov: np.ndarray, floor: float) -> np.ndarray:
+    """Clip the eigenvalues of K stacked symmetric 2x2 matrices, (K, 2, 2),
+    at the variance floor; a matrix already above it is returned as is."""
     eigvals, eigvecs = np.linalg.eigh(cov)
-    if eigvals[0] >= floor:
-        return cov
-    eigvals = np.maximum(eigvals, floor)
-    return (eigvecs * eigvals) @ eigvecs.T
+    low = eigvals[:, 0] < floor
+    if np.any(low):
+        eigvals, eigvecs = np.maximum(eigvals[low], floor), eigvecs[low]
+        cov = cov.copy()
+        cov[low] = (eigvecs * eigvals[:, None, :]) @ eigvecs.transpose(0, 2, 1)
+    return cov
+
+
+def _centered_moments(gamma: np.ndarray, times: np.ndarray, locs: np.ndarray,
+                      mu_t: np.ndarray, mu_l: np.ndarray) -> np.ndarray:
+    """Second moments of every column of an (N, K) gamma, centered on that
+    column's means mu_t (K,) and mu_l (2, K): the rows of the (4, K) result
+    are the sums of gamma d d' for the time deviations, then for the
+    location deviations xx, xy and yy.
+
+    The records are taken MOMENT_ROWS at a time, so the deviations live in
+    two (MOMENT_ROWS, K) buffers, never in (N, K) arrays.
+    """
+    sums = np.zeros((4, gamma.shape[1]))
+    for lo in range(0, gamma.shape[0], MOMENT_ROWS):
+        rows = slice(lo, lo + MOMENT_ROWS)
+        g = gamma[rows]
+        dx = times[rows, None] - mu_t
+        sums[0] += np.einsum("nk,nk,nk->k", g, dx, dx)
+        np.subtract(locs[rows, 0:1], mu_l[0], out=dx)
+        dy = locs[rows, 1:2] - mu_l[1]
+        sums[1] += np.einsum("nk,nk,nk->k", g, dx, dx)
+        sums[2] += np.einsum("nk,nk,nk->k", g, dx, dy)
+        sums[3] += np.einsum("nk,nk,nk->k", g, dy, dy)
+        del dx, dy  # freed before the next block's are made
+    return sums
 
 
 def m_step_state(
@@ -336,38 +381,59 @@ def m_step_state(
     embeds: np.ndarray,
     gamma: np.ndarray,
     config: EmissionConfig,
-) -> StateParams:
-    """Responsibility-weighted maximum-likelihood update of one state.
+) -> StateParams | list[StateParams | None]:
+    """Responsibility-weighted maximum-likelihood update of one state or of K.
 
-    gamma are that state's responsibilities over the stacked records; the
-    update is invariant to rescaling gamma by any positive constant.
-    Degenerate spreads are clipped at the configured floors.  Raises
-    EmptyStateError when the total responsibility is below
-    DEAD_STATE_WEIGHT (the caller re-seeds such states).
+    gamma of shape (N,) are one state's responsibilities over the stacked
+    records, and give its `StateParams`; gamma of shape (N, K) give a list
+    of K, one per column, from one pass over gamma.  The update is
+    invariant to rescaling a column by any positive constant.  Degenerate
+    spreads are clipped at the configured floors.  A column whose total
+    responsibility is below DEAD_STATE_WEIGHT is a dead state (the caller
+    re-seeds it): None in the list, EmptyStateError for an (N,) gamma.
+
+    The means are (K, N) @ (N, ...) products.  The second moments are
+    centered on each column's own means (`_centered_moments`), a block of
+    records at a time: the raw-moment form E[x^2] - m^2 cancels on
+    projected meters.  The vMF text of every state is one `fit_vmf` call;
+    the Gaussian text variance is one (N, p) pass per state.
     """
     gamma = np.asarray(gamma, dtype=float)
-    total = float(gamma.sum())
-    if total < DEAD_STATE_WEIGHT:
-        raise EmptyStateError(f"state responsibility {total:.3g} is numerically zero")
-    w = gamma / total
+    columns = gamma.reshape(gamma.shape[0], -1)
+    totals = columns.sum(axis=0)
+    live = totals >= DEAD_STATE_WEIGHT
+    if gamma.ndim == 1 and not live[0]:
+        raise EmptyStateError(f"state responsibility {totals[0]:.3g} is numerically zero")
+    if not np.all(live):
+        columns, totals = columns[:, live], totals[live]
 
-    mu_t = float(w @ times)
-    var_t = float(w @ (times - mu_t) ** 2)
-    sigma_t = max(math.sqrt(var_t), config.sigma_t_floor)
+    mu_t = (times @ columns) / totals
+    mu_l = (locs.T @ columns) / totals  # (2, K)
+    var_t, c_xx, c_xy, c_yy = _centered_moments(columns, times, locs, mu_t, mu_l) / totals
+    sigma_t = np.maximum(np.sqrt(var_t), config.sigma_t_floor)
+    cov_l = np.stack([c_xx, c_xy, c_xy, c_yy], axis=1).reshape(-1, 2, 2)
+    cov_l = _floor_covariances(cov_l, config.var_floor)
 
-    mu_l = w @ locs
-    centered = locs - mu_l
-    cov_l = (centered * w[:, None]).T @ centered
-    cov_l = _floor_covariance(cov_l, config.var_floor)
-
-    text = None
     if config.text_model == "vmf":
-        text = fit_vmf(embeds, gamma)
+        texts = fit_vmf(embeds, columns)
     elif config.text_model == "gaussian":
-        mean = w @ embeds
-        text = GaussianText(mean, np.maximum(w @ (embeds - mean) ** 2, config.var_floor))
+        means = (columns.T @ embeds) / totals[:, None]
+        sq = np.empty_like(embeds)
+        texts = []
+        for j, mean in enumerate(means):
+            np.subtract(embeds, mean, out=sq)
+            sq *= sq
+            # a contiguous copy of the column: a strided one slows the product
+            var = (np.ascontiguousarray(columns[:, j]) @ sq) / totals[j]
+            texts.append(GaussianText(mean, np.maximum(var, config.var_floor)))
+    else:
+        texts = [None] * totals.size
 
-    return StateParams(mu_t=mu_t, sigma_t=sigma_t, mu_l=mu_l, cov_l=cov_l, text=text)
+    states = [None] * live.size
+    for j, slot in enumerate(np.flatnonzero(live)):
+        states[slot] = StateParams(mu_t=float(mu_t[j]), sigma_t=float(sigma_t[j]),
+                                   mu_l=mu_l[:, j].copy(), cov_l=cov_l[j], text=texts[j])
+    return states[0] if gamma.ndim == 1 else states
 
 
 def seed_state(time: float, loc: np.ndarray, embed: np.ndarray,

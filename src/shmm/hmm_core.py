@@ -8,6 +8,8 @@ one-step-ahead scoring of candidate next records.
 A fit reads the columns of one `records.Corpus` in place: k-means init,
 every E-step and M-step, and the re-seeding of dead states.  A list of
 `Trace`s is stacked into a `Corpus` once, at the start of `baum_welch`.
+Each M-step, the k-means init's included, is one call of the all-states
+`emission.m_step_state` over an (N, K) gamma (one-hot for the init).
 
 There is one forward recursion, run over a packed corpus, and the E-step
 packs the corpus's trace lengths itself on every call.  Traces are
@@ -33,9 +35,10 @@ output (with at most three temporaries), and three plus the scratch block
 in forward-backward: the emission matrix, its packed copy, and alpha,
 which the backward pass turns into gamma step by step.  Beta lives one
 step at a time in one (sizes[0], K) buffer.  The scratch block and the
-packed copy are freed before gamma goes back into corpus order, and
-`baum_welch` releases each iteration's gamma and emission matrix before
-the next E-step.
+packed copy are freed before gamma goes back into corpus order.
+`baum_welch` releases each iteration's emission matrix before the
+M-step, which holds gamma plus at most two (N, K) buffers (two blocks of
+`emission.MOMENT_ROWS` rows), and gamma before the next E-step.
 """
 
 from __future__ import annotations
@@ -51,9 +54,8 @@ from typing import Sequence
 import numpy as np
 
 from .emission import (
+    DEAD_STATE_WEIGHT,
     EmissionConfig,
-    EmptyStateError,
-    StateParams,
     check_states,
     log_emission_matrix,
     m_step_state,
@@ -331,16 +333,14 @@ def _smooth(raw: np.ndarray) -> np.ndarray:
     return probs / probs.sum()
 
 
-def _reseed_state(corpus: Corpus, log_b_all: np.ndarray,
-                  config: EmissionConfig, rank: int) -> StateParams:
-    """Replacement parameters for an iteration's rank-th dead state (from 0),
-    centered on the record the current model explains rank-th worst (ties
-    in record order; ranks past the last record wrap around), so states
+def _worst_explained(log_b_all: np.ndarray) -> np.ndarray:
+    """Record rows, the one the current model explains worst first (ties in
+    record order): the rank-th dead state of an iteration (from 0) is
+    re-seeded on row rank (wrapping around past the last record), so states
     that die in the same iteration are re-seeded on distinct records."""
     k = log_b_all.shape[1]
     score = _logsumexp(log_b_all, axis=1) - math.log(k)
-    worst = int(np.argsort(score, kind="stable")[rank % score.size])
-    return seed_state(corpus.t_day[worst], corpus.locs[worst], corpus.embeds[worst], config)
+    return np.argsort(score, kind="stable")
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +495,10 @@ def _cluster_means(locs: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 def _init_from_kmeans(corpus: Corpus, k: int, config: EmissionConfig,
                       init: KMeansInit) -> ShmmModel:
     labels = _kmeans_locations(corpus.locs, k, init.seed, init.n_iter)
-    states = []
-    for j in range(k):
-        gamma = (labels == j).astype(float)
-        states.append(m_step_state(corpus.t_day, corpus.locs, corpus.embeds, gamma, config))
+    one_hot = np.zeros((labels.size, k))
+    one_hot[np.arange(labels.size), labels] = 1.0
+    states = m_step_state(corpus.t_day, corpus.locs, corpus.embeds, one_hot, config)
+    del one_hot
 
     # smoothed empirical counts of cluster labels along traces, added in
     # record order: every row but a trace's first steps on from the row before
@@ -567,16 +567,20 @@ def baum_welch(
         started = time.perf_counter()
         gamma_all, xi_sum, gamma0, loglik, log_b_all = _e_step(model, corpus)
 
-        states, n_dead = [], 0
-        for j in range(k):
-            try:
-                states.append(
-                    m_step_state(corpus.t_day, corpus.locs, corpus.embeds, gamma_all[:, j], config)
-                )
-            except EmptyStateError:
-                states.append(_reseed_state(corpus, log_b_all, config, n_dead))
-                n_dead += 1
-        del gamma_all, log_b_all  # not held into the next E-step
+        # rank the records for re-seeding only when a state is dead, and
+        # release the emission matrix before the M-step
+        dead = gamma_all.sum(axis=0) < DEAD_STATE_WEIGHT
+        worst = _worst_explained(log_b_all) if np.any(dead) else None
+        del log_b_all
+        states = m_step_state(corpus.t_day, corpus.locs, corpus.embeds, gamma_all, config)
+        del gamma_all  # not held into the next E-step
+        reseeded = [j for j, state in enumerate(states) if state is None]
+        for rank, j in enumerate(reseeded):
+            row = worst[rank % worst.size]
+            states[j] = seed_state(corpus.t_day[row], corpus.locs[row], corpus.embeds[row],
+                                   config)
+        if reseeded:
+            logger.info("EM iteration %d re-seeded dead states %s", len(history), reseeded)
         pi = _smooth(gamma0)
         trans = np.vstack([_smooth(xi_sum[j]) for j in range(k)])
         model = ShmmModel(

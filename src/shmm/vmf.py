@@ -323,18 +323,23 @@ def vmf_log_pdf(params: VmfParams, m: np.ndarray) -> float:
     return float(vmf_log_density([params], m[None])[0, 0])
 
 
-def fit_vmf(vectors: np.ndarray, weights: Sequence[float] | None = None) -> VmfParams:
-    """Weighted maximum-likelihood vMF fit.
+def fit_vmf(vectors: np.ndarray,
+            weights: np.ndarray | Sequence[float] | None = None) -> VmfParams | list[VmfParams]:
+    """Weighted maximum-likelihood vMF fit, of one weight column or of K.
 
     mu is the normalized weighted resultant, kappa the Newton solution of
     A_p(kappa) = r_bar with r_bar = ||sum_i w_i m_i|| / sum_i w_i.  With
     unit weights this is the plain MLE; responsibilities act as fractional
     counts.
 
-    Raises EmptyInputError when there is no data or no positive weight.
-    A vanished resultant (||R|| < 1e-12 * total weight, e.g. perfectly
-    antipodal data) has no direction, so mu = e_1; `estimate_kappa` gives
-    it kappa = 0 with a NearUniformWarning.
+    weights of shape (N,) give one `VmfParams`; weights of shape (N, K)
+    give a list of K, one per column, from one unit-norm check of the
+    vectors and one (K, N) @ (N, p) product of resultants.
+
+    Raises EmptyInputError when there is no data or a column has no
+    positive weight.  A vanished resultant (||R|| < 1e-12 * total weight,
+    e.g. perfectly antipodal data) has no direction, so mu = e_1;
+    `estimate_kappa` gives it kappa = 0 with a NearUniformWarning.
     """
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
@@ -343,25 +348,28 @@ def fit_vmf(vectors: np.ndarray, weights: Sequence[float] | None = None) -> VmfP
     if weights is None:
         weights = np.ones(n)
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (n,) or np.any(weights < 0.0):
-        raise ValueError("weights must be a non-negative vector matching the data")
-    total = float(weights.sum())
-    if total <= 0.0:
+    if weights.shape[:1] != (n,) or weights.ndim > 2 or np.any(weights < 0.0):
+        raise ValueError("weights must be a non-negative (N,) or (N, K) array matching the data")
+    columns = weights.reshape(n, -1)
+    totals = columns.sum(axis=0)
+    if not np.all(totals > 0.0):
         raise EmptyInputError("total weight must be positive")
     norms = np.linalg.norm(vectors, axis=1)
     if not np.all(np.abs(norms - 1.0) <= 1e-9):
         bad = int(np.argmax(np.abs(norms - 1.0)))
         raise ValueError(f"vector {bad} is not unit norm (||m|| = {float(norms[bad])!r})")
 
-    resultant = weights @ vectors
-    r_norm = float(np.linalg.norm(resultant))
-    if r_norm < 1e-12 * total:
-        mu = np.zeros(p)
-        mu[0] = 1.0
-    else:
-        mu = resultant / r_norm
-    estimate = estimate_kappa(ResultantStats(resultant=resultant, weight=total))
-    return VmfParams(mu=mu, kappa=estimate.kappa, p=p)
+    fits = []
+    for resultant, total in zip(columns.T @ vectors, totals.tolist()):
+        r_norm = float(np.linalg.norm(resultant))
+        if r_norm < 1e-12 * total:
+            mu = np.zeros(p)
+            mu[0] = 1.0
+        else:
+            mu = resultant / r_norm
+        estimate = estimate_kappa(ResultantStats(resultant=resultant, weight=total))
+        fits.append(VmfParams(mu=mu, kappa=estimate.kappa, p=p))
+    return fits[0] if weights.ndim == 1 else fits
 
 
 def _sample_radial(rng: np.random.Generator, kappa: float, p: int, n: int) -> np.ndarray:

@@ -781,6 +781,15 @@ class TestBadInputs:
                      "{model}: .*'colour'", id="summarize-model-config-unknown-key"),
         pytest.param(_PREDICT, _edit_model(lambda d: d["config"].update(colour="red")),
                      "{model}: .*'colour'", id="predict-model-config-unknown-key"),
+        pytest.param(_PREDICT, _edit_model(lambda d: d["config"].update(use_time="no")),
+                     "{model}: use_time must be true or false, got 'no'",
+                     id="model-config-use_time-string"),
+        pytest.param(_SUMMARIZE, _edit_model(lambda d: d["config"].update(use_location=0)),
+                     "{model}: use_location must be true or false, got 0",
+                     id="model-config-use_location-int"),
+        pytest.param(_PREDICT, _edit_model(lambda d: d["config"].update(sigma_t_floor=True)),
+                     "{model}: sigma_t_floor must be a number, got True",
+                     id="model-config-sigma_t_floor-bool"),
         pytest.param(_SUMMARIZE, lambda f: f["model"].write_text(f["model"].read_text()[:24]),
                      "{model}: invalid JSON: .+", id="model-truncated"),
         pytest.param(_PREDICT,

@@ -1,6 +1,7 @@
 """Tests for the multi-modal emission model and its M-step."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -278,6 +279,21 @@ class TestEmissionConfig:
     def test_requires_a_modality(self):
         with pytest.raises(ValueError):
             EmissionConfig(use_time=False, use_location=False, text_model="none")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("use_time", "no", "use_time must be true or false, got 'no'"),
+        ("use_location", 0, "use_location must be true or false, got 0"),
+        ("use_time", np.bool_(True), "use_time must be true or false, got "),
+        ("sigma_t_floor", True, "sigma_t_floor must be a number, got True"),
+        ("var_floor", "1e-6", "var_floor must be a number, got '1e-6'"),
+    ])
+    def test_rejects_mistyped_fields(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            EmissionConfig(**{field: value})
+
+    def test_floors_may_be_any_real_number(self):
+        config = EmissionConfig(sigma_t_floor=60, var_floor=np.float64(1e-6))
+        assert config.sigma_t_floor == 60.0 and config.var_floor == 1e-6
 
     def test_rejects_unknown_text_model(self):
         with pytest.raises(ValueError):

@@ -136,7 +136,7 @@ def _assert_matches_packed_reference(log_pi, log_a, log_b, packing):
     before = log_b.tobytes()
     gamma, xi_sum, loglik = hmm_core._forward_backward(log_pi, log_a, log_b, packing)
     # the one-step beta pass gives the bits of the full-beta pass it replaced,
-    # and leaves log_b, which `_reseed_state` reads after the E-step, as it was
+    # and leaves log_b, which `_worst_explained` reads after the E-step, as it was
     full_beta = scratch_forward_backward(log_pi, log_a, log_b, packing)
     assert [a.tobytes() for a in (gamma, xi_sum, loglik)] == [a.tobytes() for a in full_beta]
     assert log_b.tobytes() == before

@@ -1,5 +1,5 @@
 """What a fit holds: the corpus columns once, and how many (N, K) arrays
-the E-step and the EM loop hold at once.
+the E-step, the M-step and the EM loop hold at once.
 
 numpy reports its data buffers to tracemalloc, so the traced peak of a
 call counts the arrays it holds at once.  Bounds are in units of one
@@ -17,7 +17,7 @@ import pytest
 
 from shmm import cli, data_io, hmm_core, synth
 from shmm.cli import main
-from shmm.emission import EmissionConfig, log_emission_matrix
+from shmm.emission import EmissionConfig, log_emission_matrix, m_step_state
 from shmm.hmm_core import KMeansInit, StopCriteria, baum_welch
 from shmm.records import Corpus, CorpusColumns, SemanticRecord
 
@@ -67,6 +67,17 @@ def test_forward_backward_holds_three_arrays_and_the_scratch_block(fit_inputs):
     packing = hmm_core._pack(columns.lengths)
     peak = _peak_units(hmm_core._forward_backward, log_pi, log_a, log_b, packing)
     assert peak <= 3.0 + SCRATCH / UNIT
+
+
+@pytest.mark.parametrize("preset", ["shmm", "ghmm", "st-hmm", "hmm"])
+def test_m_step_holds_at_most_two_buffers_beyond_its_inputs(fit_inputs, preset):
+    # the centered moments of every state in two reused (N, K) buffers; the
+    # E-step peaks at about 4.9 units, so the M-step does not set the fit's peak
+    _, columns, model = fit_inputs
+    gamma = hmm_core._e_step(model, columns)[0]
+    peak = _peak_units(m_step_state, columns.t_day, columns.locs, columns.embeds, gamma,
+                       EmissionConfig.preset(preset))
+    assert peak <= 2.5
 
 
 def test_em_iterations_hold_nothing_into_the_next_e_step(fit_inputs):
