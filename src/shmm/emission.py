@@ -27,8 +27,8 @@ form, so every cell has the bits that form gives.  `log_emission` is the
 
 The M-step, `m_step_state`, also fits every state at once: it reads the
 (N, K) responsibilities in one pass, with the means as (K, N) products,
-the second moments centered on each state's means a block of records at
-a time, and every state's vMF text from one `vmf.fit_vmf` call.
+the second moments centered on each state's means in two (N, K) buffers,
+and every state's vMF text from one `vmf.fit_vmf` call.
 
 A state holds the one text model its config names, or none.  This is the
 one module that reads it: it also checks, re-seeds and serializes states,
@@ -59,9 +59,6 @@ VAR_FLOOR = 1e-6
 #: gives None in its slot (EmptyStateError for a single state) and the EM
 #: loop re-seeds the state.
 DEAD_STATE_WEIGHT = 1e-8
-
-#: Records per block of the M-step's centered second moments.
-MOMENT_ROWS = 2048
 
 #: Concentration assigned to a re-seeded state's text component.
 RESEED_KAPPA = 1.0
@@ -357,21 +354,17 @@ def _centered_moments(gamma: np.ndarray, times: np.ndarray, locs: np.ndarray,
     are the sums of gamma d d' for the time deviations, then for the
     location deviations xx, xy and yy.
 
-    The records are taken MOMENT_ROWS at a time, so the deviations live in
-    two (MOMENT_ROWS, K) buffers, never in (N, K) arrays.
+    One pass over all N records: the deviations live in two (N, K)
+    buffers, the first reused for the time and then the x deviations.
     """
-    sums = np.zeros((4, gamma.shape[1]))
-    for lo in range(0, gamma.shape[0], MOMENT_ROWS):
-        rows = slice(lo, lo + MOMENT_ROWS)
-        g = gamma[rows]
-        dx = times[rows, None] - mu_t
-        sums[0] += np.einsum("nk,nk,nk->k", g, dx, dx)
-        np.subtract(locs[rows, 0:1], mu_l[0], out=dx)
-        dy = locs[rows, 1:2] - mu_l[1]
-        sums[1] += np.einsum("nk,nk,nk->k", g, dx, dx)
-        sums[2] += np.einsum("nk,nk,nk->k", g, dx, dy)
-        sums[3] += np.einsum("nk,nk,nk->k", g, dy, dy)
-        del dx, dy  # freed before the next block's are made
+    sums = np.empty((4, gamma.shape[1]))
+    dx = times[:, None] - mu_t
+    sums[0] = np.einsum("nk,nk,nk->k", gamma, dx, dx)
+    np.subtract(locs[:, 0:1], mu_l[0], out=dx)
+    dy = locs[:, 1:2] - mu_l[1]
+    sums[1] = np.einsum("nk,nk,nk->k", gamma, dx, dx)
+    sums[2] = np.einsum("nk,nk,nk->k", gamma, dx, dy)
+    sums[3] = np.einsum("nk,nk,nk->k", gamma, dy, dy)
     return sums
 
 
@@ -393,9 +386,9 @@ def m_step_state(
     re-seeds it): None in the list, EmptyStateError for an (N,) gamma.
 
     The means are (K, N) @ (N, ...) products.  The second moments are
-    centered on each column's own means (`_centered_moments`), a block of
-    records at a time: the raw-moment form E[x^2] - m^2 cancels on
-    projected meters.  The vMF text of every state is one `fit_vmf` call;
+    centered on each column's own means (`_centered_moments`), in two
+    (N, K) buffers beyond gamma: the raw-moment form E[x^2] - m^2 cancels
+    on projected meters.  The vMF text of every state is one `fit_vmf` call;
     the Gaussian text variance is one (N, p) pass per state.
     """
     gamma = np.asarray(gamma, dtype=float)

@@ -34,11 +34,14 @@ an E-step holds at most four arrays while `log_emission_matrix` builds its
 output (with at most three temporaries), and three plus the scratch block
 in forward-backward: the emission matrix, its packed copy, and alpha,
 which the backward pass turns into gamma step by step.  Beta lives one
-step at a time in one (sizes[0], K) buffer.  The scratch block and the
-packed copy are freed before gamma goes back into corpus order.
-`baum_welch` releases each iteration's emission matrix before the
-M-step, which holds gamma plus at most two (N, K) buffers (two blocks of
-`emission.MOMENT_ROWS` rows), and gamma before the next E-step.
+step at a time in one (sizes[0], K) buffer.  The E-step sets a fit's
+peak: the M-step holds gamma plus two (N, K) buffers of centered
+deviations, or `fit_vmf`'s (N, p) norm temporary.  Three releases keep
+the peak there: the packed copy before gamma goes back into corpus order
+(three arrays and the scratch block then, not four); the emission matrix
+before `baum_welch`'s M-step (beside the (N, p) temporary of an
+embedding wider than K, it lifts the fit's peak by about one array); and
+gamma before the next E-step, which would hold one more array.
 """
 
 from __future__ import annotations
@@ -286,7 +289,7 @@ def _forward_backward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray,
         xi_sum += e.sum(axis=0)
     _to_gamma(alpha[: sizes[0]], beta, ll_sorted)
 
-    del scratch, log_b  # freed before gamma is allocated
+    del log_b  # the packed copy, freed before gamma is allocated
     gamma = np.empty_like(alpha)
     gamma[packing.rows] = alpha
     return gamma, xi_sum, loglik
@@ -498,7 +501,6 @@ def _init_from_kmeans(corpus: Corpus, k: int, config: EmissionConfig,
     one_hot = np.zeros((labels.size, k))
     one_hot[np.arange(labels.size), labels] = 1.0
     states = m_step_state(corpus.t_day, corpus.locs, corpus.embeds, one_hot, config)
-    del one_hot
 
     # smoothed empirical counts of cluster labels along traces, added in
     # record order: every row but a trace's first steps on from the row before
@@ -635,11 +637,13 @@ def score_next(model: ShmmModel, prefix: Trace, candidates: Sequence, k_top: int
 
     score(c) = log sum_z alpha_{R-1}(z) sum_z' A(z, z') exp(log_emission(z', c)),
     computed in log space, with one emission matrix over the prefix
-    records and the candidates.  Returns the top k_top candidates as
-    (candidate_index, score) pairs, ranked descending; ties keep input
-    order.  The prefix, a `Trace`, holds at least one record; a prefix of
-    another embedding dim raises as `trace 0: ...`.
+    records and the candidates.  Returns the top k_top (an integer >= 1)
+    candidates as (candidate_index, score) pairs, ranked descending; ties
+    keep input order.  The prefix, a `Trace`, holds at least one record; a
+    prefix of another embedding dim raises as `trace 0: ...`.
     """
+    if isinstance(k_top, bool) or not isinstance(k_top, (int, np.integer)) or k_top < 1:
+        raise ValueError(f"k_top must be an integer >= 1, got {k_top!r}")
     if len(candidates) == 0:
         raise ValueError("candidates must be non-empty")
     check_embedding_dims([prefix], model.embedding_dim)
@@ -654,7 +658,7 @@ def score_next(model: ShmmModel, prefix: Trace, candidates: Sequence, k_top: int
         raise NonFiniteLikelihoodError("prefix log-likelihood is not finite")
     log_pred = _logsumexp(alpha[:, None] + log_a, axis=0)
     scores = _logsumexp(log_pred[None, :] + log_b[n:], axis=1)
-    order = np.argsort(-scores, kind="stable")[: int(k_top)]
+    order = np.argsort(-scores, kind="stable")[:k_top]
     return [(int(i), float(scores[i])) for i in order]
 
 

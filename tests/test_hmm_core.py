@@ -15,6 +15,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
 from _helpers import random_model, random_trace, unit
+from shmm import hmm_core
 from shmm.emission import (
     EmissionConfig,
     GaussianText,
@@ -248,6 +249,33 @@ class TestScoreNext:
         scores = [s for _, s in ranked]
         assert len(set(scores)) == 1
         np.testing.assert_array_equal([i for i, _ in ranked], [0, 1, 2, 3])
+
+    @pytest.mark.parametrize("k_top", [0, -1, 2.7, 2.0, True, "3", None])
+    def test_bad_k_top_is_refused(self, k_top):
+        # -1 used to drop the lowest-ranked candidate and 2.7 to truncate to 2
+        rng = np.random.default_rng(14)
+        model = random_model(2, 3, rng)
+        prefix = random_trace(2, 3, rng)
+        cands = self._candidates(rng, 5, 3)
+        message = f"k_top must be an integer >= 1, got {k_top!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            score_next(model, prefix, cands, k_top=k_top)
+
+    def test_bad_k_top_is_refused_before_any_work(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        model = random_model(2, 3, rng)
+        monkeypatch.setattr(hmm_core, "log_emission_matrix", None)
+        with pytest.raises(ValueError, match="^k_top must be an integer >= 1, got -1$"):
+            score_next(model, random_trace(2, 3, rng), [], k_top=-1)
+
+    @pytest.mark.parametrize("k_top", [np.int64(3), 9])
+    def test_integer_k_top_keeps_at_most_that_many(self, k_top):
+        rng = np.random.default_rng(16)
+        model = random_model(2, 3, rng)
+        prefix = random_trace(2, 3, rng)
+        cands = self._candidates(rng, 5, 3)
+        ranked = score_next(model, prefix, cands, k_top=k_top)
+        assert ranked == score_next(model, prefix, cands, k_top=5)[:k_top]
 
 
 class TestBaumWelch:

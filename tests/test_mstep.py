@@ -100,16 +100,6 @@ def test_every_preset_matches_the_per_state_loop(preset, make_gamma):
     assert_states_match(got, want)
 
 
-@pytest.mark.parametrize("rows", [1, 64, 599, 600])
-def test_moments_in_blocks_of_any_size(monkeypatch, rows):
-    # 600 records: one record a block, a short last block, one full block
-    monkeypatch.setattr(emission, "MOMENT_ROWS", rows)
-    rng = np.random.default_rng(1)
-    times, locs, embeds = records(600, 6, rng, centre=(4.5e6, 9.1e6), spread=0.05)
-    got, want = both(times, locs, embeds, fractional(600, 5, rng), EmissionConfig.st_hmm())
-    assert_states_match(got, want)
-
-
 @pytest.mark.parametrize("preset", PRESETS)
 def test_one_state(preset):
     rng = np.random.default_rng(2)
