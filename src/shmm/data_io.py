@@ -368,14 +368,15 @@ def evaluate_prediction(
 ) -> dict[int, float]:
     """accuracy@K of next-record ranking over aligned (trace, pool) pairs.
 
-    Every cutoff K must be >= 1, and every test trace must hold at least 2
-    records (a shorter one raises ValueError naming its position).
-    score_fn defaults to hmm_core.score_next and exists so tests can
-    substitute reference scorers.
+    Every cutoff K must be an integer >= 1 (a bool is refused, a numpy
+    integer accepted), checked before any scoring, and every test trace
+    must hold at least 2 records (a shorter one raises ValueError naming
+    its position).  score_fn defaults to hmm_core.score_next and exists so
+    tests can substitute reference scorers.
     """
     for k in k_list:
-        if k < 1:
-            raise ValueError(f"accuracy cutoff K must be >= 1, got {k!r}")
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValueError(f"accuracy cutoff K must be an integer >= 1, got {k!r}")
     if len(test) != len(pools):
         raise ValueError("pools must align one-to-one with test traces")
     if len(test) == 0:

@@ -20,10 +20,16 @@ vMF term is `vmf.vmf_log_density`, one (N, p) @ (p, K) product.
 The Gaussian text term uses the expanded quadratic
 sum_j x_j^2/v_j - 2 x_j m_j/v_j + m_j^2/v_j, i.e. two such products,
 rather than the direct (x - m)^2/v, which would need an (N, K, p)
-temporary.  Each term is added into the output with at most three (N, K)
-temporaries, built in place with the association of the one-expression
-form, so every cell has the bits that form gives.  `log_emission` is the
-1 x 1 case of the same matrix.
+temporary.  The output is filled one block of BLOCK_BYTES // (8 K) rows
+at a time (a last single row joins the block before it), from views of
+the caller's columns.  Each term is added into the block with at most
+three block-sized temporaries, built in place with the association of
+the one-expression form, so every cell has the bits that form gives.  So
+the pass holds its output and at most 3 * BLOCK_BYTES more (the Gaussian
+text's (rows, p) squared embeddings take p / K times a block), where it
+held three (N, K) temporaries before the blocks: 4.04 arrays at K = 30
+with 8000 records, 1.45 now.  `log_emission` is the 1 x 1 case of the
+same matrix.
 
 The M-step, `m_step_state`, also fits every state at once: it reads the
 (N, K) responsibilities in one pass, with the means as (K, N) products,
@@ -59,6 +65,10 @@ VAR_FLOOR = 1e-6
 #: gives None in its slot (EmptyStateError for a single state) and the EM
 #: loop re-seeds the state.
 DEAD_STATE_WEIGHT = 1e-8
+
+#: Byte budget of one (rows, K) temporary of `log_emission_matrix`: it
+#: builds its (N, K) output in blocks of at most BLOCK_BYTES // (8 K) rows.
+BLOCK_BYTES = 1 << 18
 
 #: Concentration assigned to a re-seeded state's text component.
 RESEED_KAPPA = 1.0
@@ -225,67 +235,85 @@ def log_emission_matrix(
     does a location covariance that is not positive definite.
     """
     times, locs, embeds = (np.asarray(x, dtype=float) for x in (times, locs, embeds))
-    out = np.zeros((times.shape[0], len(states)))
-    # Each step below is one operation of the one-expression form, in its
-    # order; each branch frees its temporaries before the next one.
+    n, k = times.shape[0], len(states)
+    out = np.zeros((n, k))
     if config.use_time:
         mu_t = np.array([s.mu_t for s in states])
         sigma_t = np.array([s.sigma_t for s in states])
-        # ((-0.5 z) z - log sigma) - log(2 pi) / 2, z = (t - mu) / sigma
-        z = times[:, None] - mu_t
-        z /= sigma_t
-        term = -0.5 * z
-        term *= z
-        term -= np.log(sigma_t)
-        term -= 0.5 * _LOG_2PI
-        out += term
-        del z, term
+        log_sigma_t = np.log(sigma_t)
     if config.use_location:
         mu_l = np.array([s.mu_l for s in states])
         cov_l = np.array([s.cov_l for s in states])
         det = check_positive_definite(cov_l)
         a, b, d = cov_l[:, 0, 0], cov_l[:, 0, 1], cov_l[:, 1, 1]
-        dx = locs[:, 0:1] - mu_l[:, 0]
-        dy = locs[:, 1:2] - mu_l[:, 1]
-        # (-log(2 pi) - log(det) / 2) - quad / 2, with
-        # quad = ((d dx) dx - ((2b) dx) dy + (a dy) dy) / det
-        quad = d * dx
-        quad *= dx
-        dx *= 2.0 * b
-        dx *= dy
-        quad -= dx
-        np.multiply(a, dy, out=dx)
-        dx *= dy
-        quad += dx
-        quad /= det
-        quad *= 0.5
-        np.subtract(-_LOG_2PI - 0.5 * np.log(det), quad, out=quad)
-        out += quad
-        del dx, dy, quad
+        two_b, log_norm_l = 2.0 * b, -_LOG_2PI - 0.5 * np.log(det)
     if config.text_model == "vmf":
-        out += vmf_log_density([s.text for s in states], embeds)
+        texts = [s.text for s in states]
     elif config.text_model == "gaussian":
         mean = np.array([s.text.mean for s in states])
         var = np.array([s.text.var for s in states])
-        # ((quad + sum log v) + p log(2 pi)) (-0.5), with
-        # quad = ((x x) @ (1/v)' - 2 (x @ (m/v)')) + sum m m / v
-        quad = (embeds * embeds) @ (1.0 / var).T
-        cross = embeds @ (mean / var).T
-        cross *= 2.0
-        quad -= cross
-        quad += (mean * mean / var).sum(axis=1)
-        quad += np.log(var).sum(axis=1)
-        quad += embeds.shape[1] * _LOG_2PI
-        quad *= -0.5
-        out += quad
-        del cross, quad
-    bad = np.argwhere(~(out < np.inf))  # NaN and +inf; -inf is a zero density
-    if bad.size:
-        i, k = bad[0]
-        raise ValueError(
-            f"non-finite emission log-density for record {i} under state {k}; "
-            "check record fields and floors"
-        )
+        inv_var, mean_over_var = 1.0 / var, mean / var
+        mean_term, log_var_term = (mean * mean / var).sum(axis=1), np.log(var).sum(axis=1)
+    # Blocks of `rows` rows, the last one ragged.  A last single row joins the
+    # block before it: BLAS takes a one-row product to its vector kernel,
+    # which can round otherwise than the matrix kernel the other rows get.
+    rows = max(1, BLOCK_BYTES // (8 * k))
+    stops = [*range(rows, n - 1, rows), n]
+    for lo, hi in zip([0, *stops[:-1]], stops):
+        block = out[lo:hi]
+        # Each step below is one operation of the one-expression form, in its
+        # order; each branch frees its temporaries before the next one.
+        if config.use_time:
+            # ((-0.5 z) z - log sigma) - log(2 pi) / 2, z = (t - mu) / sigma
+            z = times[lo:hi, None] - mu_t
+            z /= sigma_t
+            term = -0.5 * z
+            term *= z
+            term -= log_sigma_t
+            term -= 0.5 * _LOG_2PI
+            block += term
+            del z, term
+        if config.use_location:
+            dx = locs[lo:hi, 0:1] - mu_l[:, 0]
+            dy = locs[lo:hi, 1:2] - mu_l[:, 1]
+            # (-log(2 pi) - log(det) / 2) - quad / 2, with
+            # quad = ((d dx) dx - ((2b) dx) dy + (a dy) dy) / det
+            quad = d * dx
+            quad *= dx
+            dx *= two_b
+            dx *= dy
+            quad -= dx
+            np.multiply(a, dy, out=dx)
+            dx *= dy
+            quad += dx
+            quad /= det
+            quad *= 0.5
+            np.subtract(log_norm_l, quad, out=quad)
+            block += quad
+            del dx, dy, quad
+        if config.text_model == "vmf":
+            block += vmf_log_density(texts, embeds[lo:hi])
+        elif config.text_model == "gaussian":
+            x = embeds[lo:hi]
+            # ((quad + sum log v) + p log(2 pi)) (-0.5), with
+            # quad = ((x x) @ (1/v)' - 2 (x @ (m/v)')) + sum m m / v
+            quad = (x * x) @ inv_var.T
+            cross = x @ mean_over_var.T
+            cross *= 2.0
+            quad -= cross
+            quad += mean_term
+            quad += log_var_term
+            quad += x.shape[1] * _LOG_2PI
+            quad *= -0.5
+            block += quad
+            del cross, quad
+        bad = np.argwhere(~(block < np.inf))  # NaN and +inf; -inf is a zero density
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(
+                f"non-finite emission log-density for record {lo + i} under state {j}; "
+                "check record fields and floors"
+            )
     return out
 
 

@@ -22,26 +22,36 @@ in `forward_backward` and the prefix forward behind `score_next`) is a
 packed corpus of one.  The packing and every summation order are fixed
 by the input, so identical inputs always produce identical results.
 
-Each step's (n, K, K) block of log terms is built in one scratch block,
-allocated once per pass and sized for the first step, and reduced there
-in place: the recursion makes no fresh (n, K, K) temporaries.  The
-backward step exponentiates its block once and reads both the backward
-message and the step's expected transition counts from it.
+Each step's rows are taken in blocks of at most max(1, FB_BLOCK_BYTES //
+(8 K^2)) rows.  A block's (rows, K, K) log terms are built in one scratch
+block, allocated once per pass, and reduced there in place: the recursion
+makes no fresh (n, K, K) temporaries.  The backward block exponentiates
+its terms once and reads both the backward message and the block's
+expected transition counts from it.  Rows interact only through the
+step's transition counts, whose sum a carry row keeps in row order, so
+any block size gives the bits of one block per step.
 
-Memory, in (N, K) arrays of N*K*8 bytes (N records, K states) plus the
-scratch block of sizes[0]*K*K*8 bytes (sizes[0] is the number of traces):
-an E-step holds at most four arrays while `log_emission_matrix` builds its
-output (with at most three temporaries), and three plus the scratch block
-in forward-backward: the emission matrix, its packed copy, and alpha,
-which the backward pass turns into gamma step by step.  Beta lives one
-step at a time in one (sizes[0], K) buffer.  The E-step sets a fit's
-peak: the M-step holds gamma plus two (N, K) buffers of centered
-deviations, or `fit_vmf`'s (N, p) norm temporary.  Three releases keep
-the peak there: the packed copy before gamma goes back into corpus order
-(three arrays and the scratch block then, not four); the emission matrix
-before `baum_welch`'s M-step (beside the (N, p) temporary of an
-embedding wider than K, it lifts the fit's peak by about one array); and
-gamma before the next E-step, which would hold one more array.
+Memory, in (N, K) arrays of N*K*8 bytes (N records, K states): an E-step
+holds the emission matrix and block-sized temporaries while
+`log_emission_matrix` builds it, and three arrays plus a (rows + 1, K, K)
+work block in forward-backward (at most FB_BLOCK_BYTES + 8 K^2 bytes
+while one K x K row fits in the budget, K <= 256): the emission
+matrix, its packed copy, and alpha, which the backward pass turns into
+gamma step by step.  Beta lives one step at a time in one (sizes[0], K)
+buffer (sizes[0] is the number of traces).  Before the blocks, the work
+block held every trace (sizes[0]*K*K*8 bytes) and the emission matrix
+three (N, K) temporaries: the traced E-step peak went from 4.89 to 3.47
+arrays at K = 30 with 400 traces of 20 records, and from 12.28 to 3.64 at
+K = 40 with 2000 traces of 5.  The E-step sets a fit's peak: the M-step
+holds gamma plus two (N, K) buffers of centered deviations, or the
+`ghmm` text variance's (N, p) buffer (`fit_vmf` checks unit norms in
+blocks of `vmf.NORM_ROWS` rows: one (N, p) temporary, at an embedding
+wider than K, lifted the fit above the E-step).  Three releases keep the
+peak there: the packed copy before gamma goes back into corpus order (three
+arrays and the work block then, not four); the emission matrix before
+`baum_welch`'s M-step (held beside the M-step's buffers, it lifts the
+fit's peak by about one array); and gamma before the next E-step, which
+would hold one more array.
 """
 
 from __future__ import annotations
@@ -77,6 +87,10 @@ from .records import (
 #: Additive probability floor applied to pi and every transition row each
 #: M-step (then renormalized); prevents log(0) on unseen transitions.
 PROB_SMOOTHING = 1e-6
+
+#: Byte budget of forward-backward's (rows, K, K) work block: each step's
+#: rows are taken max(1, FB_BLOCK_BYTES // (8 K^2)) at a time.
+FB_BLOCK_BYTES = 1 << 19
 
 #: Relative fall in corpus log-likelihood between EM iterations beyond which
 #: `baum_welch` logs a warning (smoothing may cost less than this).
@@ -223,15 +237,18 @@ def _forward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray,
              packing: _Packing, scratch: np.ndarray) -> np.ndarray:
     """Log forward messages over (N, K) emission log-densities in packed order.
 
-    scratch is a (sizes[0], K, K) work block; its contents are overwritten.
+    scratch is a (rows, K, K) work block, rows >= 1: each step's rows are
+    done in blocks of at most that many, and its contents are overwritten.
     """
     sizes, bounds = packing.sizes, packing.bounds
     alpha = np.empty_like(log_b)
     alpha[: sizes[0]] = log_pi + log_b[: sizes[0]]
     for t in range(1, len(sizes)):
-        lo, hi, prev = bounds[t], bounds[t + 1], bounds[t - 1]
-        cube = np.add(alpha[prev:prev + hi - lo, :, None], log_a, out=scratch[: hi - lo])
-        alpha[lo:hi] = _logsumexp(cube, axis=1, overwrite_a=True) + log_b[lo:hi]
+        back = sizes[t - 1]  # a trace's slot at step t, less its slot at step t - 1
+        for lo in range(bounds[t], bounds[t + 1], len(scratch)):
+            hi = min(lo + len(scratch), bounds[t + 1])
+            cube = np.add(alpha[lo - back:hi - back, :, None], log_a, out=scratch[: hi - lo])
+            alpha[lo:hi] = _logsumexp(cube, axis=1, overwrite_a=True) + log_b[lo:hi]
     return alpha
 
 
@@ -243,12 +260,17 @@ def _forward_backward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray,
     (gamma (N, K) in corpus row order, xi_sum (K, K) summed over traces and
     slots, loglik (B,) in corpus trace order).
 
-    Both passes work in one (sizes[0], K, K) scratch block.  A backward
-    step fills it with e[i, z, z'] = log A(z, z') + log b(z') + beta(z'),
-    subtracts the row max m[i, z] (0 where the row is all -inf) and
-    exponentiates it once.  beta is log(sum over z' of e) + m, and the
-    step's xi contribution is e weighted by exp(alpha + m - loglik): that
+    Both passes work in one (rows + 1, K, K) scratch block, rows =
+    max(1, FB_BLOCK_BYTES // (8 K^2)) but no more than sizes[0], and take
+    each step's rows in blocks of at most that many.  A backward block
+    fills scratch[1:] with e[i, z, z'] = log A(z, z') + log b(z') +
+    beta(z'), subtracts the row max m[i, z] (0 where the row is all -inf)
+    and exponentiates it once.  beta is log(sum over z' of e) + m, and the
+    block's xi contribution is e weighted by exp(alpha + m - loglik): that
     weight is at most gamma <= 1, and 0 for a row with no finite term.
+    scratch[0] carries the step's running xi sum from block to block, so
+    the step's sum adds its rows in order, one at a time, whatever the
+    block size: the bits of one block per step.
 
     beta is held for one step at a time, and each step's alpha rows become
     gamma in place once that step's beta is known, with the operations of
@@ -256,8 +278,9 @@ def _forward_backward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray,
     """
     sizes, bounds = packing.sizes, packing.bounds
     log_b = log_b[packing.rows]
-    scratch = np.empty((sizes[0],) + log_a.shape)
-    alpha = _forward(log_pi, log_a, log_b, packing, scratch)
+    rows = min(sizes[0], max(1, FB_BLOCK_BYTES // (8 * log_a.size)))
+    scratch = np.empty((rows + 1,) + log_a.shape)
+    alpha = _forward(log_pi, log_a, log_b, packing, scratch[1:])
     loglik = np.empty(sizes[0])
     loglik[packing.order] = _logsumexp(alpha[packing.last], axis=1)
     bad = np.flatnonzero(~np.isfinite(loglik))
@@ -275,18 +298,22 @@ def _forward_backward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray,
     for t in range(len(sizes) - 2, -1, -1):
         lo, nxt, n = bounds[t], bounds[t + 1], sizes[t + 1]
         _to_gamma(alpha[nxt:nxt + n], beta[:n], ll_sorted[:n])
-        forward_msg = log_b[nxt:nxt + n] + beta[:n]  # (n, K)
-        e = np.add(log_a, forward_msg[:, None, :], out=scratch[:n])  # (n, K, K)
-        shift = e.max(axis=2, keepdims=True)
-        # the unclamped max: a row with no finite term gets weight exp(-inf) = 0
-        weight = alpha[lo:lo + n, :, None] + shift - ll_sorted[:n, None, None]
-        shift[~np.isfinite(shift)] = 0.0
-        e -= shift
-        np.exp(e, out=e)
-        with np.errstate(divide="ignore"):
-            beta[:n] = np.log(e.sum(axis=2)) + shift[:, :, 0]
-        e *= np.exp(weight)
-        xi_sum += e.sum(axis=0)
+        scratch[0] = 0.0
+        for i in range(0, n, rows):
+            j = min(i + rows, n)
+            forward_msg = log_b[nxt + i:nxt + j] + beta[i:j]  # (j - i, K)
+            e = np.add(log_a, forward_msg[:, None, :], out=scratch[1:j - i + 1])
+            shift = e.max(axis=2, keepdims=True)
+            # the unclamped max: a row with no finite term gets weight exp(-inf) = 0
+            weight = alpha[lo + i:lo + j, :, None] + shift - ll_sorted[i:j, None, None]
+            shift[~np.isfinite(shift)] = 0.0
+            e -= shift
+            np.exp(e, out=e)
+            with np.errstate(divide="ignore"):
+                beta[i:j] = np.log(e.sum(axis=2)) + shift[:, :, 0]
+            e *= np.exp(weight)
+            scratch[0] = scratch[:j - i + 1].sum(axis=0)
+        xi_sum += scratch[0]
     _to_gamma(alpha[: sizes[0]], beta, ll_sorted)
 
     del log_b  # the packed copy, freed before gamma is allocated

@@ -50,6 +50,10 @@ logger = logging.getLogger(__name__)
 #: all dimensions used here and the density is numerically degenerate.
 KAPPA_MAX = 1e6
 
+#: Rows per block of `fit_vmf`'s unit-norm check, so that it holds a
+#: (NORM_ROWS, p) temporary and not an (N, p) one.
+NORM_ROWS = 1024
+
 #: Mean resultant lengths below this are treated as uniform (kappa = 0).
 _R_BAR_UNIFORM = 1e-10
 
@@ -354,7 +358,8 @@ def fit_vmf(vectors: np.ndarray,
     totals = columns.sum(axis=0)
     if not np.all(totals > 0.0):
         raise EmptyInputError("total weight must be positive")
-    norms = np.linalg.norm(vectors, axis=1)
+    norms = np.concatenate([np.linalg.norm(vectors[lo:lo + NORM_ROWS], axis=1)
+                            for lo in range(0, n, NORM_ROWS)])
     if not np.all(np.abs(norms - 1.0) <= 1e-9):
         bad = int(np.argmax(np.abs(norms - 1.0)))
         raise ValueError(f"vector {bad} is not unit norm (||m|| = {float(norms[bad])!r})")

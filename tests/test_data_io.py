@@ -442,11 +442,23 @@ class TestEvaluatePrediction:
             )
         return tests, pools
 
-    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("k", [0, -1, 1.5, True, 2.0, "2"])
     def test_cutoff_below_one_rejected(self, k):
+        # checked before any scoring: the model is None.  1.5 once gave the
+        # accuracy at 2 under the key 1, and True a second key 1
         tests, pools = self._setup(3)
-        with pytest.raises(ValueError, match=f"^accuracy cutoff K must be >= 1, got {k}$"):
+        message = f"accuracy cutoff K must be an integer >= 1, got {k!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             evaluate_prediction(None, tests, pools, [1, k])
+
+    def test_numpy_integer_cutoff_is_accepted(self):
+        tests, pools = self._setup(5)
+
+        def stub(model, prefix, candidates, k_top):
+            return [(i, 0.0) for i in range(k_top)]
+
+        acc = evaluate_prediction(None, tests, pools, [np.int64(10)], score_fn=stub)
+        assert acc == {10: 1.0} and type(next(iter(acc))) is int
 
     def test_k_equal_pool_size_is_always_one(self):
         tests, pools = self._setup(50)

@@ -11,6 +11,7 @@ from _emission_reference import (
     vectorized_log_emission_matrix,
     vectorized_vmf_log_density,
 )
+from shmm import emission
 from shmm.emission import (
     EmissionConfig,
     EmptyStateError,
@@ -273,6 +274,30 @@ class TestAllStatesMatrix:
         times[1] = np.nan
         with pytest.raises(ValueError, match="non-finite emission log-density for record 1"):
             log_emission_matrix(states, EmissionConfig.st_hmm(), times, locs, embeds)
+
+    def test_nan_time_past_the_first_block_names_its_row(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        states = random_states(3, 3, rng, EmissionConfig.st_hmm())
+        times, locs, embeds = random_records(10, 3, rng)
+        times[7] = np.nan
+        monkeypatch.setattr(emission, "BLOCK_BYTES", 3 * 3 * 8)  # blocks of 3 rows
+        with pytest.raises(ValueError,
+                           match="non-finite emission log-density for record 7 under state 0"):
+            log_emission_matrix(states, EmissionConfig.st_hmm(), times, locs, embeds)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_blocks_give_the_bits_of_one_block(self, preset, monkeypatch):
+        rng = np.random.default_rng(27)
+        config = EmissionConfig.preset(preset)
+        states = random_states(7, 5, rng, config)
+        records = random_records(41, 5, rng)
+        rows = 20  # a last single row joins the block before it; 27 rows end ragged
+        for n in (rows - 1, rows, rows + 1, rows + 7, 2 * rows + 1):
+            part = [column[:n] for column in records]
+            monkeypatch.setattr(emission, "BLOCK_BYTES", 1 << 40)
+            whole = log_emission_matrix(states, config, *part)
+            monkeypatch.setattr(emission, "BLOCK_BYTES", rows * len(states) * 8)
+            assert np.array_equal(log_emission_matrix(states, config, *part), whole)
 
 
 class TestEmissionConfig:

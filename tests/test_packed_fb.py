@@ -152,6 +152,24 @@ def test_scratch_pass_matches_packed_reference(name):
     _assert_matches_packed_reference(*_scratch_pass_inputs(name))
 
 
+@pytest.mark.parametrize("name, rows", [
+    ("benchmark-shaped", 7), ("benchmark-shaped", 1), ("mixed-lengths-with-ties", 3),
+    ("structural-zeros", 1),
+])
+def test_blocked_pass_gives_the_bits_of_one_block_per_step(name, rows, monkeypatch):
+    # rows per block: 400 traces take 57 blocks of 7 and a ragged one of 1,
+    # and the 10 mixed traces blocks of 3 then 1 or 2
+    log_pi, log_a, log_b, packing = _scratch_pass_inputs(name)
+    packed_b = log_b[packing.rows]
+    alpha = hmm_core._forward(log_pi, log_a, packed_b, packing, np.empty((rows,) + log_a.shape))
+    assert alpha.tobytes() == packed_forward(log_pi, log_a, packed_b, packing).tobytes()
+
+    monkeypatch.setattr(hmm_core, "FB_BLOCK_BYTES", rows * log_a.size * 8)
+    got = hmm_core._forward_backward(log_pi, log_a, log_b, packing)
+    one_block = scratch_forward_backward(log_pi, log_a, log_b, packing)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in one_block]
+
+
 def test_dead_transition_row_takes_the_zero_shift_path():
     """At the first backward step state 0 can reach neither state it may
     move to, so its whole row of log terms is -inf, while its forward
