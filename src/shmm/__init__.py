@@ -22,7 +22,6 @@ from .data_io import (
 )
 from .emission import (
     EmissionConfig,
-    EmptyStateError,
     GaussianText,
     StateParams,
     log_emission,
@@ -72,7 +71,6 @@ __all__ = [
     "DimensionMismatchError",
     "EmissionConfig",
     "EmptyCorpusError",
-    "EmptyStateError",
     "GaussianText",
     "KMeansInit",
     "KappaEstimate",

@@ -26,15 +26,14 @@ the caller's columns.  Each term is added into the block with at most
 three block-sized temporaries, built in place with the association of
 the one-expression form, so every cell has the bits that form gives.  So
 the pass holds its output and at most 3 * BLOCK_BYTES more (the Gaussian
-text's (rows, p) squared embeddings take p / K times a block), where it
-held three (N, K) temporaries before the blocks: 4.04 arrays at K = 30
-with 8000 records, 1.45 now.  `log_emission` is the 1 x 1 case of the
-same matrix.
+text's (rows, p) squared embeddings take p / K times a block).
+`log_emission` is the 1 x 1 case of the same matrix.
 
-The M-step, `m_step_state`, also fits every state at once: it reads the
-(N, K) responsibilities in one pass, with the means as (K, N) products,
-the second moments centered on each state's means in two (N, K) buffers,
-and every state's vMF text from one `vmf.fit_vmf` call.
+The M-step, `m_step_state`, also fits every state at once: it checks the
+(N, K) responsibilities once and reads them in one pass, with the means
+as (K, N) products, the second moments centered on each state's means in
+two (N, K) buffers, and every state's vMF text from one `vmf.fit_vmf`
+call; a dead state comes back as None.
 
 A state holds the one text model its config names, or none.  This is the
 one module that reads it: it also checks, re-seeds and serializes states,
@@ -62,8 +61,7 @@ SIGMA_T_FLOOR = 60.0
 VAR_FLOOR = 1e-6
 
 #: Total responsibility below which a state counts as dead: `m_step_state`
-#: gives None in its slot (EmptyStateError for a single state) and the EM
-#: loop re-seeds the state.
+#: gives None in its slot and the EM loop re-seeds the state.
 DEAD_STATE_WEIGHT = 1e-8
 
 #: Byte budget of one (rows, K) temporary of `log_emission_matrix`: it
@@ -76,10 +74,6 @@ RESEED_KAPPA = 1.0
 TEXT_MODELS = ("vmf", "gaussian", "none")
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-class EmptyStateError(ValueError):
-    """A state received (numerically) zero responsibility in the M-step."""
 
 
 @dataclass(frozen=True)
@@ -402,16 +396,16 @@ def m_step_state(
     embeds: np.ndarray,
     gamma: np.ndarray,
     config: EmissionConfig,
-) -> StateParams | list[StateParams | None]:
-    """Responsibility-weighted maximum-likelihood update of one state or of K.
+) -> list[StateParams | None]:
+    """Responsibility-weighted maximum-likelihood update of K states.
 
-    gamma of shape (N,) are one state's responsibilities over the stacked
-    records, and give its `StateParams`; gamma of shape (N, K) give a list
-    of K, one per column, from one pass over gamma.  The update is
-    invariant to rescaling a column by any positive constant.  Degenerate
-    spreads are clipped at the configured floors.  A column whose total
-    responsibility is below DEAD_STATE_WEIGHT is a dead state (the caller
-    re-seeds it): None in the list, EmptyStateError for an (N,) gamma.
+    gamma is (N, K): state j's responsibilities over the N stacked records
+    in column j, every entry finite and >= 0, else ValueError before any
+    work.  Returns a list of K `StateParams`, one per column, from one pass
+    over gamma.  The update is invariant to rescaling a column by any
+    positive constant.  Degenerate spreads are clipped at the configured
+    floors.  A column whose total responsibility is below DEAD_STATE_WEIGHT
+    is a dead state (the caller re-seeds it): None in its slot.
 
     The means are (K, N) @ (N, ...) products.  The second moments are
     centered on each column's own means (`_centered_moments`), in two
@@ -420,32 +414,34 @@ def m_step_state(
     the Gaussian text variance is one (N, p) pass per state.
     """
     gamma = np.asarray(gamma, dtype=float)
-    columns = gamma.reshape(gamma.shape[0], -1)
-    totals = columns.sum(axis=0)
+    if gamma.ndim != 2 or gamma.shape[0] != len(times):
+        raise ValueError(f"gamma must be (N, K) with N = {len(times)}, got shape {gamma.shape}")
+    # no (N, K) temporary: the min is NaN for a NaN entry, a total inf for an inf one
+    totals = gamma.sum(axis=0)
+    if not (gamma.min(initial=0.0) >= 0.0 and np.all(np.isfinite(totals))):
+        raise ValueError("responsibilities must be finite and >= 0")
     live = totals >= DEAD_STATE_WEIGHT
-    if gamma.ndim == 1 and not live[0]:
-        raise EmptyStateError(f"state responsibility {totals[0]:.3g} is numerically zero")
     if not np.all(live):
-        columns, totals = columns[:, live], totals[live]
+        gamma, totals = gamma[:, live], totals[live]
 
-    mu_t = (times @ columns) / totals
-    mu_l = (locs.T @ columns) / totals  # (2, K)
-    var_t, c_xx, c_xy, c_yy = _centered_moments(columns, times, locs, mu_t, mu_l) / totals
+    mu_t = (times @ gamma) / totals
+    mu_l = (locs.T @ gamma) / totals  # (2, K)
+    var_t, c_xx, c_xy, c_yy = _centered_moments(gamma, times, locs, mu_t, mu_l) / totals
     sigma_t = np.maximum(np.sqrt(var_t), config.sigma_t_floor)
     cov_l = np.stack([c_xx, c_xy, c_xy, c_yy], axis=1).reshape(-1, 2, 2)
     cov_l = _floor_covariances(cov_l, config.var_floor)
 
     if config.text_model == "vmf":
-        texts = fit_vmf(embeds, columns)
+        texts = fit_vmf(embeds, gamma)
     elif config.text_model == "gaussian":
-        means = (columns.T @ embeds) / totals[:, None]
+        means = (gamma.T @ embeds) / totals[:, None]
         sq = np.empty_like(embeds)
         texts = []
         for j, mean in enumerate(means):
             np.subtract(embeds, mean, out=sq)
             sq *= sq
             # a contiguous copy of the column: a strided one slows the product
-            var = (np.ascontiguousarray(columns[:, j]) @ sq) / totals[j]
+            var = (np.ascontiguousarray(gamma[:, j]) @ sq) / totals[j]
             texts.append(GaussianText(mean, np.maximum(var, config.var_floor)))
     else:
         texts = [None] * totals.size
@@ -454,7 +450,7 @@ def m_step_state(
     for j, slot in enumerate(np.flatnonzero(live)):
         states[slot] = StateParams(mu_t=float(mu_t[j]), sigma_t=float(sigma_t[j]),
                                    mu_l=mu_l[:, j].copy(), cov_l=cov_l[j], text=texts[j])
-    return states[0] if gamma.ndim == 1 else states
+    return states
 
 
 def seed_state(time: float, loc: np.ndarray, embed: np.ndarray,

@@ -8,8 +8,9 @@ one-step-ahead scoring of candidate next records.
 A fit reads the columns of one `records.Corpus` in place: k-means init,
 every E-step and M-step, and the re-seeding of dead states.  A list of
 `Trace`s is stacked into a `Corpus` once, at the start of `baum_welch`.
-Each M-step, the k-means init's included, is one call of the all-states
-`emission.m_step_state` over an (N, K) gamma (one-hot for the init).
+Each M-step, the k-means init's included, is one call of
+`emission.m_step_state`: an (N, K) gamma in (one-hot for the init), K
+states out, None for a dead state, which the fit re-seeds.
 
 There is one forward recursion, run over a packed corpus, and the E-step
 packs the corpus's trace lengths itself on every call.  Traces are
@@ -35,23 +36,19 @@ Memory, in (N, K) arrays of N*K*8 bytes (N records, K states): an E-step
 holds the emission matrix and block-sized temporaries while
 `log_emission_matrix` builds it, and three arrays plus a (rows + 1, K, K)
 work block in forward-backward (at most FB_BLOCK_BYTES + 8 K^2 bytes
-while one K x K row fits in the budget, K <= 256): the emission
-matrix, its packed copy, and alpha, which the backward pass turns into
-gamma step by step.  Beta lives one step at a time in one (sizes[0], K)
-buffer (sizes[0] is the number of traces).  Before the blocks, the work
-block held every trace (sizes[0]*K*K*8 bytes) and the emission matrix
-three (N, K) temporaries: the traced E-step peak went from 4.89 to 3.47
-arrays at K = 30 with 400 traces of 20 records, and from 12.28 to 3.64 at
-K = 40 with 2000 traces of 5.  The E-step sets a fit's peak: the M-step
-holds gamma plus two (N, K) buffers of centered deviations, or the
+while one K x K row fits in the budget, K <= 256): the emission matrix,
+its packed copy, and alpha, which the backward pass turns into gamma step
+by step.  Beta lives one step at a time in one (sizes[0], K) buffer
+(sizes[0] is the number of traces).  The E-step sets a fit's peak: the
+M-step holds gamma plus two (N, K) buffers of centered deviations, or the
 `ghmm` text variance's (N, p) buffer (`fit_vmf` checks unit norms in
 blocks of `vmf.NORM_ROWS` rows: one (N, p) temporary, at an embedding
 wider than K, lifted the fit above the E-step).  Three releases keep the
-peak there: the packed copy before gamma goes back into corpus order (three
-arrays and the work block then, not four); the emission matrix before
-`baum_welch`'s M-step (held beside the M-step's buffers, it lifts the
-fit's peak by about one array); and gamma before the next E-step, which
-would hold one more array.
+peak there: the packed copy before gamma goes back into corpus order
+(three arrays and the work block then, not four); the emission matrix
+before `baum_welch`'s M-step (held beside the M-step's buffers, it lifts
+the fit's peak by about one array); and gamma before the next E-step,
+which would hold one more array.
 """
 
 from __future__ import annotations
@@ -110,6 +107,13 @@ class EmptyCorpusError(ValueError):
     """No traces supplied."""
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; a bool or any non-integer raises ValueError, a numpy integer passes."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ShmmModel:
     """A K-state spherical HMM: initial distribution, transitions, emissions."""
@@ -124,7 +128,7 @@ class ShmmModel:
     def __post_init__(self):
         self.pi = np.asarray(self.pi, dtype=float)
         self.trans = np.asarray(self.trans, dtype=float)
-        k = self.n_states
+        self.n_states = k = _integer(self.n_states, "n_states")
         if k < 1:
             raise ValueError("n_states must be >= 1")
         if self.pi.shape != (k,) or self.trans.shape != (k, k):
@@ -160,6 +164,7 @@ class KMeansInit:
     n_iter: int = 100
 
     def __post_init__(self):
+        object.__setattr__(self, "n_iter", _integer(self.n_iter, "n_iter"))
         if self.n_iter < 1:
             raise ValueError(f"n_iter must be >= 1, got {self.n_iter!r}")
 
@@ -170,6 +175,7 @@ class StopCriteria:
     max_iters: int = 200
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iters", _integer(self.max_iters, "max_iters"))
         if self.max_iters < 1 or not self.rel_tol >= 0.0:  # also true for NaN
             raise ValueError("need max_iters >= 1 and rel_tol >= 0")
 
@@ -571,6 +577,7 @@ def baum_welch(
     smoothing-induced slack; iteration stops at relative improvement <
     stop.rel_tol or at stop.max_iters.
     """
+    k = _integer(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(corpus) == 0:
@@ -586,6 +593,8 @@ def baum_welch(
             raise DimensionMismatchError(
                 f"initial model embedding dim {init.embedding_dim} != corpus {embedding_dim}"
             )
+        if init.config != config:
+            raise ValueError("explicit initial model must have the fit's config")
         model = init
     else:
         model = _init_from_kmeans(corpus, k, config, init)
@@ -721,23 +730,15 @@ def model_from_dict(doc: dict) -> ShmmModel:
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
     config = EmissionConfig(**doc["config"])
-    embedding_dim = _json_int(doc, "embedding_dim")
+    embedding_dim = _integer(doc["embedding_dim"], "embedding_dim")
     return ShmmModel(
-        n_states=_json_int(doc, "n_states"),
+        n_states=doc["n_states"],
         pi=np.array(doc["pi"], dtype=float),
         trans=np.array(doc["trans"], dtype=float),
         states=[state_from_dict(s, config, embedding_dim) for s in doc["states"]],
         config=config,
         embedding_dim=embedding_dim,
     )
-
-
-def _json_int(doc: dict, key: str) -> int:
-    """doc[key], which must be a JSON integer (`true` is not one)."""
-    value = doc[key]
-    if type(value) is not int:
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 def save_model(model: ShmmModel, path) -> None:
@@ -764,8 +765,12 @@ def load_model(path) -> ShmmModel:
 
 
 def relabel_states(model: ShmmModel, perm: Sequence[int]) -> ShmmModel:
-    """Permute state identities consistently (pi, rows+columns of A, params)."""
-    perm = np.asarray(perm, dtype=int)
+    """Permute state identities consistently (pi, rows+columns of A, params);
+    perm must hold each of 0..K-1 once, else ValueError."""
+    perm = np.asarray(perm)
+    if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(model.n_states)):
+        raise ValueError(f"perm must be a permutation of 0..{model.n_states - 1}, "
+                         f"got {perm.tolist()}")
     return replace(
         model,
         pi=model.pi[perm],

@@ -19,11 +19,14 @@ import numpy as np
 from shmm.emission import (
     DEAD_STATE_WEIGHT,
     EmissionConfig,
-    EmptyStateError,
     GaussianText,
     StateParams,
 )
 from shmm.vmf import EmptyInputError, ResultantStats, VmfParams, estimate_kappa
+
+
+class EmptyStateError(ValueError):
+    """A state received (numerically) zero responsibility in the M-step."""
 
 
 def fit_vmf(vectors: np.ndarray, weights: Sequence[float] | None = None) -> VmfParams:

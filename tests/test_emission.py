@@ -14,7 +14,6 @@ from _emission_reference import (
 from shmm import emission
 from shmm.emission import (
     EmissionConfig,
-    EmptyStateError,
     GaussianText,
     StateParams,
     log_emission,
@@ -370,7 +369,7 @@ class TestMStep:
         embeds = np.stack([unit([1, 0, 0]), unit([0, 1, 0])])
         gamma = np.array([1.0, 0.0])
         with pytest.warns(UserWarning):  # r_bar = 1 caps kappa
-            state = m_step_state(times, locs, embeds, gamma, config)
+            state = m_step_state(times, locs, embeds, gamma[:, None], config)[0]
         assert state.mu_t == 1000.0
         assert state.sigma_t == config.sigma_t_floor
         np.testing.assert_allclose(state.cov_l, config.var_floor * np.eye(2), atol=1e-18)
@@ -380,7 +379,7 @@ class TestMStep:
         times, locs, embeds, _ = self._data(seed=1)
         gamma = np.ones(len(times))
         config = EmissionConfig.shmm()
-        state = m_step_state(times, locs, embeds, gamma, config)
+        state = m_step_state(times, locs, embeds, gamma[:, None], config)[0]
         assert state.mu_t == pytest.approx(times.mean(), rel=1e-12)
         assert state.sigma_t == pytest.approx(times.std(), rel=1e-12)
         np.testing.assert_allclose(state.mu_l, locs.mean(axis=0), rtol=1e-12)
@@ -391,8 +390,8 @@ class TestMStep:
     def test_gamma_scale_invariance(self):
         times, locs, embeds, gamma = self._data(seed=2)
         config = EmissionConfig.shmm()
-        a = m_step_state(times, locs, embeds, gamma, config)
-        b = m_step_state(times, locs, embeds, 2.0 * gamma, config)
+        a = m_step_state(times, locs, embeds, gamma[:, None], config)[0]
+        b = m_step_state(times, locs, embeds, 2.0 * gamma[:, None], config)[0]
         assert a.mu_t == pytest.approx(b.mu_t, rel=1e-12)
         assert a.sigma_t == pytest.approx(b.sigma_t, rel=1e-12)
         np.testing.assert_allclose(a.cov_l, b.cov_l, rtol=1e-12)
@@ -401,8 +400,8 @@ class TestMStep:
 
     def test_empty_state_raises(self):
         times, locs, embeds, _ = self._data(n=10, seed=3)
-        with pytest.raises(EmptyStateError):
-            m_step_state(times, locs, embeds, np.zeros(10), EmissionConfig.shmm())
+        assert m_step_state(times, locs, embeds, np.zeros(10)[:, None],
+                            EmissionConfig.shmm()) == [None]
 
     def test_dead_state_threshold(self):
         from shmm.emission import DEAD_STATE_WEIGHT
@@ -410,15 +409,15 @@ class TestMStep:
         times, locs, embeds, _ = self._data(n=10, seed=3)
         gamma = np.zeros(10)
         gamma[4] = DEAD_STATE_WEIGHT
-        m_step_state(times, locs, embeds, gamma, EmissionConfig.hmm())
+        state = m_step_state(times, locs, embeds, gamma[:, None], EmissionConfig.hmm())[0]
+        assert state is not None
         gamma[4] = 0.99 * DEAD_STATE_WEIGHT
-        with pytest.raises(EmptyStateError):
-            m_step_state(times, locs, embeds, gamma, EmissionConfig.hmm())
+        assert m_step_state(times, locs, embeds, gamma[:, None], EmissionConfig.hmm()) == [None]
 
     @pytest.mark.parametrize("config", [EmissionConfig.shmm(), EmissionConfig.ghmm()])
     def test_m_step_is_a_local_maximum(self, config):
         times, locs, embeds, gamma = self._data(n=300, p=4, seed=4)
-        state = m_step_state(times, locs, embeds, gamma, config)
+        state = m_step_state(times, locs, embeds, gamma[:, None], config)[0]
         base = weighted_loglik(state, config, times, locs, embeds, gamma)
 
         def perturbed(**kw):

@@ -142,6 +142,20 @@ class TestForwardBackward:
         _, permuted = forward_backward(relabel_states(model, perm), trace)
         assert permuted == pytest.approx(base, abs=1e-12 * abs(base))
 
+    @pytest.mark.parametrize("perm", [
+        [0, 0], [1, 1], [0], [0, 1, 2], [1, 2], [-1, 0], [1.0, 0.0], [True, False], [[1, 0]],
+    ])
+    def test_relabeling_refuses_what_is_not_a_permutation(self, perm):
+        # [0, 0] on uniform pi and trans once gave a valid-looking model whose
+        # two states were the same object
+        model = random_model(2, 3, np.random.default_rng(4))
+        model = ShmmModel(n_states=2, pi=np.full(2, 0.5), trans=np.full((2, 2), 0.5),
+                          states=model.states, config=model.config, embedding_dim=3)
+        with pytest.raises(ValueError, match=r"^perm must be a permutation of 0\.\.1, got "):
+            relabel_states(model, perm)
+        swapped = relabel_states(model, np.array([1, 0]))
+        assert [s is t for s, t in zip(swapped.states, model.states[::-1])] == [True, True]
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(5)
         model = random_model(2, 3, rng)
@@ -297,7 +311,8 @@ class TestBaumWelch:
 
         all_records = [r for tr in corpus for r in tr]
         times, locs, embeds = stack_records(all_records)
-        pooled = m_step_state(times, locs, embeds, np.ones(len(times)), EmissionConfig.shmm())
+        pooled = m_step_state(times, locs, embeds, np.ones(len(times))[:, None],
+                              EmissionConfig.shmm())[0]
         assert model.states[0].mu_t == pytest.approx(pooled.mu_t, rel=1e-9)
         assert model.states[0].sigma_t == pytest.approx(pooled.sigma_t, rel=1e-9)
         np.testing.assert_allclose(model.states[0].cov_l, pooled.cov_l, rtol=1e-9)
@@ -423,6 +438,27 @@ class TestBaumWelch:
         with pytest.raises(DimensionMismatchError,
                            match="^trace 3: trace embedding dim 5 != model 4$"):
             baum_welch(corpus, 2, EmissionConfig.shmm())
+
+    @pytest.mark.parametrize("config", [
+        EmissionConfig.hmm(), EmissionConfig.ghmm(), EmissionConfig.shmm(sigma_t_floor=30.0),
+    ])
+    def test_initial_model_of_another_config_fails_before_the_e_step(self, monkeypatch, config):
+        # an shmm model fitted under hmm once scored its first E-step with time
+        # and vMF text, which hmm turns off
+        def no_e_step(*args, **kwargs):
+            raise AssertionError("the E-step ran")
+
+        monkeypatch.setattr(hmm_core, "_e_step", no_e_step)
+        model = planted_model(3, 8, seed=1)
+        corpus = sample_corpus(model, 40, 10, seed=2)
+        with pytest.raises(ValueError, match="^explicit initial model must have the fit's config$"):
+            baum_welch(corpus, 3, config, init=model)
+        # the n_states and embedding-dim checks come first
+        with pytest.raises(ValueError, match="^explicit initial model must have n_states == k$"):
+            baum_welch(corpus, 2, config, init=model)
+        with pytest.raises(DimensionMismatchError, match="^initial model embedding dim 8 != "):
+            baum_welch(sample_corpus(planted_model(3, 5, seed=1), 4, 3, seed=2), 3, config,
+                       init=model)
 
     @pytest.mark.parametrize("position", [0, 3])
     def test_empty_trace_is_named(self, tmp_path, capsys, position):
@@ -583,6 +619,64 @@ class TestCorpusBundle:
         records = random_trace(2, 4, rng).records + random_trace(3, 5, rng).records[2:]
         with pytest.raises(ValueError, match=r"^records mix embedding lengths \[4, 5\]$"):
             Trace(records)
+
+
+class TestIntegerOptions:
+    """k, n_states, max_iters and n_iter are integers >= 1: a bool or a
+    non-integer is refused before any work, a numpy integer is stored as int."""
+
+    OPTIONS = {
+        "n_states": lambda value: ShmmModel(
+            n_states=value, pi=[1.0], trans=[[1.0]],
+            states=random_model(1, 3, np.random.default_rng(0)).states,
+            config=EmissionConfig.shmm(), embedding_dim=3),
+        "max_iters": lambda value: StopCriteria(max_iters=value),
+        "n_iter": lambda value: KMeansInit(n_iter=value),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPTIONS))
+    @pytest.mark.parametrize("value", [True, 2.5, 1.0, "1", None])
+    def test_option_must_be_an_integer(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "
+                                             f"{re.escape(repr(value))}$"):
+            self.OPTIONS[name](value)
+
+    @pytest.mark.parametrize("name", sorted(OPTIONS))
+    def test_numpy_integer_is_stored_as_int(self, name):
+        value = getattr(self.OPTIONS[name](np.int64(1)), name)
+        assert type(value) is int and value == 1
+
+    @pytest.mark.parametrize("name, message", [
+        ("n_states", "n_states must be >= 1"),
+        ("max_iters", "need max_iters >= 1 and rel_tol >= 0"),
+        ("n_iter", "n_iter must be >= 1, got 0"),
+    ])
+    def test_below_one_keeps_its_message(self, name, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self.OPTIONS[name](0)
+
+    @pytest.mark.parametrize("k", [True, 2.5, np.float64(3.0), 0])
+    def test_k_is_checked_before_any_work(self, monkeypatch, k):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(hmm_core, "_init_from_kmeans", no_work)
+        corpus = sample_corpus(planted_model(3, 4, seed=1), 5, 4, seed=2)
+        message = "k must be >= 1" if k == 0 else f"k must be an integer, got {k!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            baum_welch(corpus, k, EmissionConfig.shmm())
+
+    def test_numpy_k_fits_saves_and_loads(self, tmp_path):
+        corpus = sample_corpus(planted_model(3, 4, seed=1), 20, 6, seed=2)
+        model, _ = baum_welch(corpus, np.int64(3), EmissionConfig.shmm(),
+                              stop=StopCriteria(max_iters=np.int64(2)))
+        plain, _ = baum_welch(corpus, 3, EmissionConfig.shmm(), stop=StopCriteria(max_iters=2))
+        assert type(model.n_states) is int
+        first, second = tmp_path / "numpy.json", tmp_path / "plain.json"
+        save_model(model, first)
+        save_model(plain, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert load_model(first).n_states == 3
 
 
 class TestSerialization:

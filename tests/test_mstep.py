@@ -18,7 +18,6 @@ from shmm import emission, hmm_core
 from shmm.emission import (
     DEAD_STATE_WEIGHT,
     EmissionConfig,
-    EmptyStateError,
     GaussianText,
     m_step_state,
 )
@@ -171,10 +170,43 @@ def test_one_column_is_the_same_code():
     config = EmissionConfig.shmm()
     states = m_step_state(times, locs, embeds, gamma, config)
     for j in range(3):
-        assert_states_match([m_step_state(times, locs, embeds, gamma[:, j], config)],
+        assert_states_match([m_step_state(times, locs, embeds, gamma[:, j:j + 1], config)[0]],
                             [states[j]])
-    with pytest.raises(EmptyStateError):
-        m_step_state(times, locs, embeds, np.zeros(300), config)
+    assert m_step_state(times, locs, embeds, np.zeros(300)[:, None], config) == [None]
+
+
+def _bad_gamma(case, gamma):
+    if case == "one-state-vector":
+        return gamma[:, 0]
+    if case == "wrong-n":
+        return gamma[:-1]
+    gamma = gamma.copy()
+    gamma[5, 1] = {"negative": -1e-9, "nan": np.nan, "inf": np.inf, "-inf": -np.inf}[case]
+    return gamma
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("case, message", [
+    ("one-state-vector", r"gamma must be \(N, K\) with N = 40, got shape \(40,\)"),
+    ("wrong-n", r"gamma must be \(N, K\) with N = 40, got shape \(39, 3\)"),
+    ("negative", "responsibilities must be finite and >= 0"),
+    ("nan", "responsibilities must be finite and >= 0"),
+    ("inf", "responsibilities must be finite and >= 0"),
+    ("-inf", "responsibilities must be finite and >= 0"),
+])
+def test_bad_responsibilities_are_refused_before_any_work(monkeypatch, preset, case, message):
+    # before, only shmm refused a negative entry (in fit_vmf), the other
+    # presets fitted states from it, and a NaN column came back dead
+    def no_work(*args, **kwargs):
+        raise AssertionError("the M-step ran")
+
+    monkeypatch.setattr(emission, "_centered_moments", no_work)
+    monkeypatch.setattr(emission, "fit_vmf", no_work)
+    rng = np.random.default_rng(13)
+    times, locs, embeds = records(40, 4, rng)
+    gamma = _bad_gamma(case, fractional(40, 3, rng))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        m_step_state(times, locs, embeds, gamma, EmissionConfig.preset(preset))
 
 
 class TestFitVmfColumns:
